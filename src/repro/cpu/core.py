@@ -3,8 +3,16 @@
 Models a CV32E40X-class 4-stage in-order core: one instruction retires
 per cycle except for the penalties encoded in the
 :class:`~repro.cpu.timing.TimingModel` (taken branches, jumps, multi-cycle
-mul/div) and memory wait states charged by the platform's load/store
-hooks.  Hardware-loop redirects are zero-penalty, matching XCVPULP.
+mul/div) and the platform's memory wait states on loads and stores.
+Hardware-loop redirects are zero-penalty, matching XCVPULP.
+
+Each instruction is decoded once.  On a miss in the per-PC translation
+cache the core decodes the word, has :func:`~repro.cpu.executor.translate`
+build a handler specialised to its fields, and fixes its sequential next
+PC and its cycle costs (sequential and redirected).  :meth:`Cpu.step` then
+costs an interrupt-bit check, one dict lookup, one handler call, the
+cycle add and — only when the next PC equals a loop end — the
+hardware-loop update.
 
 A coprocessor implementing the CV-X-IF issue side can be attached via
 :attr:`Cpu.xif`; decoded ``xmnmc`` instructions are forwarded to it with
@@ -14,19 +22,17 @@ the three source register values sampled, exactly like the paper's bridge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.cpu import csr as csrdefs
 from repro.cpu.csr import CsrFile
-from repro.cpu.executor import EbreakHalt, EcallTrap, execute
+from repro.cpu.executor import M32, EbreakHalt, EcallTrap, Handler, translate
 from repro.cpu.regfile import RegisterFile
-from repro.cpu.timing import CV32E40X_TIMING, TimingModel
+from repro.cpu.timing import CV32E40X_TIMING, LOAD_MNEMONICS, STORE_MNEMONICS, TimingModel
 from repro.isa.decode import DecodeError, decode
 from repro.isa.instruction import Instruction
 from repro.isa.xmnmc import request_from_instruction
 from repro.mem.memory import MainMemory
-from repro.utils.bitops import sign_extend
-from repro.utils.fixedint import wrap32
 
 
 class CpuHalted(Exception):
@@ -50,8 +56,24 @@ class HwLoop:
         return self.count > 0 and self.end > 0
 
 
+class Translation(NamedTuple):
+    """Everything ``step`` needs about the instruction at one PC."""
+
+    handler: Handler
+    #: sequential next PC
+    fallthrough: int
+    #: base cycles (memory wait states included) when the flow is sequential
+    cycles: int
+    #: cycles when the handler redirects (taken branch / jump penalty added)
+    taken_cycles: int
+    instruction: Instruction
+
+
 _BRANCH_MNEMONICS = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
 _JUMP_MNEMONICS = frozenset({"jal", "jalr", "mret"})
+_MIP, _MIE, _MSTATUS = csrdefs.MIP, csrdefs.MIE, csrdefs.MSTATUS
+_MEIP_BIT = 1 << csrdefs.MIP_MEIP_BIT
+_MIE_BIT = 1 << csrdefs.MSTATUS_MIE_BIT
 
 
 class Cpu:
@@ -79,38 +101,13 @@ class Cpu:
         self.instret = 0
         self.hwloop = [HwLoop(), HwLoop()]
         self.xif = xif
+        #: wait states charged per load/store; folded into an instruction's
+        #: cycles when it is translated
         self.memory_wait_states = memory_wait_states
         self._offload_count = 0
-        self._decode_cache: Dict[int, Instruction] = {}
-        # per-mnemonic base-cycle memo: TimingModel.cycles_for walks
-        # membership chains; the step loop pays it once per mnemonic
-        # instead of once per retired instruction
-        self._timing_cache: Dict[str, int] = {}
-        self.mnemonic_counts: Dict[str, int] = {}
-        self.count_mnemonics = False
-
-    # -- memory interface used by the executor ------------------------------
-
-    def load(self, address: int, width: int, signed: bool) -> int:
-        address = wrap32(address)
-        if width == 4:
-            value = self.memory.read_u32(address)
-        elif width == 2:
-            value = self.memory.read_u16(address)
-        else:
-            value = self.memory.read_u8(address)
-        self.cycles += self.memory_wait_states
-        return sign_extend(value, width * 8) if signed else value
-
-    def store(self, address: int, value: int, width: int) -> None:
-        address = wrap32(address)
-        if width == 4:
-            self.memory.write_u32(address, value)
-        elif width == 2:
-            self.memory.write_u16(address, value)
-        else:
-            self.memory.write_u8(address, value)
-        self.cycles += self.memory_wait_states
+        #: pc -> Translation; each instruction is decoded and specialised
+        #: once, then executed from here
+        self._decode_cache: Dict[int, Translation] = {}
 
     # -- CV-X-IF offload hook -------------------------------------------------
 
@@ -139,48 +136,54 @@ class Cpu:
 
     # -- fetch/execute loop ------------------------------------------------------
 
-    def fetch(self) -> Instruction:
-        cached = self._decode_cache.get(self.pc)
-        if cached is not None:
-            return cached
-        word = self.memory.read_u32(self.pc)
+    def _translate(self, pc: int) -> Translation:
+        """Decode the instruction at ``pc`` and cache its translation."""
+        word = self.memory.read_u32(pc)
         try:
-            instruction = decode(word, self.pc)
+            instruction = decode(word, pc)
         except DecodeError as error:
             raise IllegalInstruction(str(error)) from error
+        mnemonic = instruction.mnemonic
+        cycles = self.timing.cycles_for(mnemonic)
+        if mnemonic in LOAD_MNEMONICS or mnemonic in STORE_MNEMONICS:
+            cycles += self.memory_wait_states
+        taken_cycles = cycles
+        if mnemonic in _BRANCH_MNEMONICS:
+            taken_cycles += self.timing.taken_branch_penalty
+        elif mnemonic in _JUMP_MNEMONICS:
+            taken_cycles += self.timing.jump_penalty
+        entry = Translation(
+            translate(self, instruction, pc),
+            (pc + instruction.length) & M32,
+            cycles,
+            taken_cycles,
+            instruction,
+        )
         if len(self._decode_cache) >= self.DECODE_CACHE_LIMIT:
             self._decode_cache.pop(next(iter(self._decode_cache)))
-        self._decode_cache[self.pc] = instruction
-        return instruction
+        self._decode_cache[pc] = entry
+        return entry
 
     def step(self) -> Instruction:
         """Execute one instruction; returns it (for tracing)."""
-        self._maybe_take_interrupt()
-        instruction = self.fetch()
-        pc_before = self.pc
-        next_pc = execute(self, instruction)
-
-        mnemonic = instruction.mnemonic
-        cycles = self._timing_cache.get(mnemonic)
-        if cycles is None:
-            cycles = self.timing.cycles_for(mnemonic)
-            self._timing_cache[mnemonic] = cycles
-        if next_pc is not None:
-            if instruction.mnemonic in _BRANCH_MNEMONICS:
-                cycles += self.timing.taken_branch_penalty
-            elif instruction.mnemonic in _JUMP_MNEMONICS:
-                cycles += self.timing.jump_penalty
+        # pending-and-enabled external interrupt, read straight from the CSR
+        # storage: this runs before every instruction
+        csrs = self.csrs._csrs
+        if csrs[_MIP] & _MEIP_BIT and csrs[_MIE] & _MEIP_BIT and csrs[_MSTATUS] & _MIE_BIT:
+            self._take_interrupt()
+        entry = self._decode_cache.get(self.pc)
+        if entry is None:
+            entry = self._translate(self.pc)
+        handler, next_pc, cycles, taken_cycles, instruction = entry
+        target = handler()
+        if target is not None:
+            next_pc, cycles = target, taken_cycles
         self.cycles += cycles
         self.instret += 1
-        if self.count_mnemonics:
-            self.mnemonic_counts[instruction.mnemonic] = (
-                self.mnemonic_counts.get(instruction.mnemonic, 0) + 1
-            )
-
-        if next_pc is None:
-            next_pc = pc_before + instruction.length
-        next_pc = self._apply_hwloops(next_pc)
-        self.pc = wrap32(next_pc)
+        loop0, loop1 = self.hwloop
+        if next_pc == loop0.end or next_pc == loop1.end:
+            next_pc = self._apply_hwloops(next_pc)
+        self.pc = next_pc
         return instruction
 
     def _apply_hwloops(self, next_pc: int) -> int:
@@ -193,26 +196,26 @@ class Cpu:
                 loop.count = 0
         return next_pc
 
-    def _maybe_take_interrupt(self) -> None:
-        if not (self.csrs.interrupts_enabled and self.csrs.external_interrupt_pending):
-            return
+    def _take_interrupt(self) -> None:
         self.csrs.write(csrdefs.MEPC, self.pc)
         self.csrs.write(csrdefs.MCAUSE, 0x8000000B)  # machine external interrupt
-        self.csrs.clear_bits(csrdefs.MSTATUS, 1 << csrdefs.MSTATUS_MIE_BIT)
+        self.csrs.clear_bits(csrdefs.MSTATUS, _MIE_BIT)
         self.pc = self.csrs.read(csrdefs.MTVEC) & ~0b11
         self.cycles += 4  # pipeline flush + vector fetch
 
     def run(self, max_instructions: int = 10_000_000) -> int:
-        """Run until ``ebreak``; returns cycles consumed.  ``ecall`` is a no-op."""
-        executed = 0
-        while executed < max_instructions:
+        """Run until ``ebreak``; returns cycles consumed.  ``ecall`` is a no-op.
+
+        Every instruction retires through :meth:`step`.
+        """
+        step = self.step
+        for _ in range(max_instructions):
             try:
-                self.step()
+                step()
             except EbreakHalt:
                 return self.cycles
             except EcallTrap:
                 pass  # environment calls are ignored in bare-metal runs
-            executed += 1
         raise RuntimeError(
             f"program did not halt within {max_instructions} instructions "
             f"(pc={self.pc:#010x})"
@@ -228,4 +231,3 @@ class Cpu:
         self.hwloop = [HwLoop(), HwLoop()]
         self._offload_count = 0
         self._decode_cache.clear()
-        self.mnemonic_counts = {}

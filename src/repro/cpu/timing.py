@@ -24,6 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.isa import rv32i, xcvpulp
+
+#: every memory-access mnemonic, taken from the decoders' own tables
+LOAD_MNEMONICS = rv32i.LOAD_MNEMONICS | xcvpulp.POSTINC_LOAD_MNEMONICS
+STORE_MNEMONICS = rv32i.STORE_MNEMONICS | xcvpulp.POSTINC_STORE_MNEMONICS
+
 
 @dataclass(frozen=True)
 class TimingModel:
@@ -41,9 +47,9 @@ class TimingModel:
         """Base cycles for ``mnemonic`` (penalties applied by the core)."""
         if mnemonic in self.special:
             return self.special[mnemonic]
-        if mnemonic in ("lb", "lh", "lw", "lbu", "lhu") or mnemonic.startswith("cv.l"):
+        if mnemonic in LOAD_MNEMONICS:
             return self.load_cycles
-        if mnemonic in ("sb", "sh", "sw") or mnemonic.startswith("cv.s"):
+        if mnemonic in STORE_MNEMONICS:
             return self.store_cycles
         return self.default_cycles
 

@@ -15,6 +15,8 @@ from repro.isa.instruction import Instruction
 # funct3 -> mnemonic for each opcode family.
 _LOADS = {0b000: "lb", 0b001: "lh", 0b010: "lw", 0b100: "lbu", 0b101: "lhu"}
 _STORES = {0b000: "sb", 0b001: "sh", 0b010: "sw"}
+LOAD_MNEMONICS = frozenset(_LOADS.values())
+STORE_MNEMONICS = frozenset(_STORES.values())
 _BRANCHES = {
     0b000: "beq",
     0b001: "bne",
@@ -45,8 +47,8 @@ _OP = {
 }
 
 MNEMONICS = sorted(
-    set(_LOADS.values())
-    | set(_STORES.values())
+    LOAD_MNEMONICS
+    | STORE_MNEMONICS
     | set(_BRANCHES.values())
     | set(_OP_IMM.values())
     | set(_OP.values())

@@ -24,17 +24,13 @@ from repro.isa import fields
 from repro.isa.instruction import Instruction
 
 # --- Custom-0 (0x0b): post-increment loads/stores ------------------------
-# I-type for loads (rd, imm(rs1!)), S-type for stores (rs2, imm(rs1!)).
+# Loads are I-type (rd, imm(rs1!)) with funct3 in _POSTINC_LOADS; stores
+# are S-type (rs2, imm(rs1!)) and get their own funct3 values 0b110 (sb),
+# 0b111 (sh) and 0b011 (sw) so the two never collide.
 _POSTINC_LOADS = {0b000: "cv.lb", 0b001: "cv.lh", 0b010: "cv.lw", 0b100: "cv.lbu", 0b101: "cv.lhu"}
-_POSTINC_STORES = {0b000: "cv.sb", 0b001: "cv.sh", 0b010: "cv.sw"}
-# bit 30 of the word distinguishes store forms (S-type immediate split).
-_STORE_FLAG_BIT = 14  # funct3 bit2 reused: loads use funct3<6, stores use funct3|0b100? no —
-
-# Simpler: loads are I-type with funct3 in _POSTINC_LOADS; stores are
-# S-type with funct3 in {0,1,2} and are distinguished by a dedicated
-# funct marker in imm[11:9]... To stay unambiguous we give stores their
-# own funct3 values 0b110 (sb), 0b111 (sh) and 0b011 (sw).
 _POSTINC_STORE_F3 = {0b110: "cv.sb", 0b111: "cv.sh", 0b011: "cv.sw"}
+POSTINC_LOAD_MNEMONICS = frozenset(_POSTINC_LOADS.values())
+POSTINC_STORE_MNEMONICS = frozenset(_POSTINC_STORE_F3.values())
 
 # --- Custom-1 (0x2b): hardware loops + scalar DSP ------------------------
 # Hardware loops are I-type: funct3 selects the operation, rd selects the
@@ -85,12 +81,15 @@ _SIMD_F7 = {
     0b0010010: "pv.shuffle2",
 }
 
+#: packed-SIMD base mnemonics (each exists with a .b and a .h suffix)
+SIMD_BASES = tuple(_SIMD_F7.values())
+
 MNEMONICS = sorted(
-    set(_POSTINC_LOADS.values())
-    | set(_POSTINC_STORE_F3.values())
+    POSTINC_LOAD_MNEMONICS
+    | POSTINC_STORE_MNEMONICS
     | set(HWLOOP_F3.values())
     | set(_SCALAR_DSP_F7.values())
-    | {f"{m}.{s}" for m in _SIMD_F7.values() for s in ("b", "h")}
+    | {f"{m}.{s}" for m in SIMD_BASES for s in ("b", "h")}
 )
 
 

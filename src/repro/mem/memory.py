@@ -7,9 +7,15 @@ bounds-checked; the ISS and DMA read/write through the typed accessors.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.utils.bitops import sign_extend
+
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 class MainMemoryError(RuntimeError):
@@ -32,6 +38,9 @@ class MainMemory:
         self.base = base
         self.size = size
         self.data = np.zeros(size, dtype=np.uint8)
+        # the scalar accessors go through a byte view of ``data``: one ISS
+        # load is a struct unpack, not a numpy slice plus ``tobytes``
+        self._bytes = memoryview(self.data)
 
     def _offset(self, address: int, length: int) -> int:
         offset = address - self.base
@@ -62,15 +71,13 @@ class MainMemory:
     # -- typed scalar access (ISS) ----------------------------------------
 
     def read_u8(self, address: int) -> int:
-        return int(self.data[self._offset(address, 1)])
+        return self._bytes[self._offset(address, 1)]
 
     def read_u16(self, address: int) -> int:
-        offset = self._offset(address, 2)
-        return int.from_bytes(self.data[offset : offset + 2].tobytes(), "little")
+        return _U16.unpack_from(self._bytes, self._offset(address, 2))[0]
 
     def read_u32(self, address: int) -> int:
-        offset = self._offset(address, 4)
-        return int.from_bytes(self.data[offset : offset + 4].tobytes(), "little")
+        return _U32.unpack_from(self._bytes, self._offset(address, 4))[0]
 
     def read_s8(self, address: int) -> int:
         return sign_extend(self.read_u8(address), 8)
@@ -79,19 +86,13 @@ class MainMemory:
         return sign_extend(self.read_u16(address), 16)
 
     def write_u8(self, address: int, value: int) -> None:
-        self.data[self._offset(address, 1)] = value & 0xFF
+        self._bytes[self._offset(address, 1)] = value & 0xFF
 
     def write_u16(self, address: int, value: int) -> None:
-        offset = self._offset(address, 2)
-        self.data[offset : offset + 2] = np.frombuffer(
-            (value & 0xFFFF).to_bytes(2, "little"), dtype=np.uint8
-        )
+        _U16.pack_into(self._bytes, self._offset(address, 2), value & 0xFFFF)
 
     def write_u32(self, address: int, value: int) -> None:
-        offset = self._offset(address, 4)
-        self.data[offset : offset + 4] = np.frombuffer(
-            (value & 0xFFFFFFFF).to_bytes(4, "little"), dtype=np.uint8
-        )
+        _U32.pack_into(self._bytes, self._offset(address, 4), value & 0xFFFFFFFF)
 
     # -- numpy matrix views (test fixtures, allocator) ----------------------
 

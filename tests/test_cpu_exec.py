@@ -1,5 +1,8 @@
 """ISS execution tests: instruction semantics via small assembled programs."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cpu.core import Cpu, IllegalInstruction
@@ -216,3 +219,81 @@ class TestDecodeCacheBound:
         cpu = self._straight_line_cpu(50)
         cpu.run()
         assert cpu.regs[1] == 50
+
+
+class TestStepContract:
+    """``Cpu.run`` retires every instruction through ``Cpu.step`` (the
+    per-instruction unit that tracers and profilers hook), and the
+    translation cache never outlives the state it was built against."""
+
+    LOOP = "li a0, 0\nli a1, 5\nloop:\naddi a0, a0, 1\nbne a0, a1, loop\nebreak"
+
+    def test_run_retires_through_step(self, monkeypatch):
+        calls = []
+        original = Cpu.step
+
+        def counting(self):
+            calls.append(self.pc)
+            return original(self)
+
+        monkeypatch.setattr(Cpu, "step", counting)
+        cpu = run(self.LOOP)
+        assert cpu.regs[10] == 5
+        assert len(calls) == cpu.instret + 1  # + the halting ebreak
+
+    def test_step_returns_the_retired_instruction(self):
+        program = assemble("addi a0, zero, 3\nebreak")
+        memory = MainMemory(4096)
+        memory.write_block(0, bytes(program.data))
+        cpu = Cpu(memory)
+        instruction = cpu.step()
+        assert instruction.mnemonic == "addi" and instruction.imm == 3
+
+    def test_reset_retranslates_against_fresh_state(self):
+        cpu = run(self.LOOP)
+        cpu.reset()
+        cpu.run()
+        # handlers built before the reset wrote the old register file; a
+        # stale translation would leave the new one untouched
+        assert cpu.regs[10] == 5 and cpu.instret == 12
+
+    def test_finished_core_is_freed_without_the_cycle_collector(self):
+        # translations capture the state they touch, not the core, so a
+        # core (and the memory image it holds) goes with its last reference
+        gc.disable()
+        try:
+            cpu = run("li t0, 2\ncv.setup 0, t0, end\naddi a3, a3, 1\nend:\n"
+                      "csrrsi a0, 0x340, 1\nebreak")
+            assert cpu.regs[13] == 2
+            freed = weakref.ref(cpu)
+            del cpu
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_interrupt_raised_between_steps_is_taken_on_next_step(self):
+        program = assemble("""
+                la t0, handler
+                csrrw zero, 0x305, t0
+                li t0, 0x800
+                csrrs zero, 0x304, t0
+                csrrsi zero, 0x300, 8
+            spin:
+                addi a0, a0, 1
+                j spin
+            handler:
+                li a1, 42
+                ebreak
+            """)
+        memory = MainMemory(4096)
+        memory.write_block(0, bytes(program.data))
+        cpu = Cpu(memory)
+        for _ in range(12):  # set-up, then a few trips round the spin loop
+            cpu.step()
+        interrupted_pc, cycles = cpu.pc, cpu.cycles
+        cpu.csrs.raise_external_interrupt()
+        cpu.step()
+        handler = program.symbols["handler"]
+        assert cpu.csrs.read(0x341) == interrupted_pc  # mepc
+        assert cpu.regs[11] == 42 and cpu.pc == handler + 4
+        assert cpu.cycles == cycles + 4 + 1  # trap entry, then the handler's li

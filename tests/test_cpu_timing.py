@@ -1,7 +1,7 @@
 """Cycle-timing model tests for the CV32E40X/PX pipelines."""
 
 from repro.cpu.core import Cpu
-from repro.cpu.timing import CV32E40PX_TIMING, CV32E40X_TIMING
+from repro.cpu.timing import CV32E40PX_TIMING, CV32E40X_TIMING, TimingModel
 from repro.isa.asm import assemble
 from repro.mem.memory import MainMemory
 
@@ -69,3 +69,27 @@ def test_simd_is_single_cycle():
     cpu = run("li a0, 1\nli a1, 2\npv.add.b a2, a0, a1\nebreak", CV32E40PX_TIMING)
     plain = run("li a0, 1\nli a1, 2\nadd a2, a0, a1\nebreak", CV32E40PX_TIMING)
     assert cpu.cycles == plain.cycles
+
+
+def test_memory_classes_come_from_the_decoder_tables():
+    # cv.setup / cv.setupi / cv.starti share the "cv.s" prefix with the
+    # post-increment stores but are hardware-loop set-up, not stores
+    timing = TimingModel(name="slow-memory", load_cycles=2, store_cycles=3)
+    for mnemonic in ("cv.setup", "cv.setupi", "cv.starti", "cv.sdotsp", "csrrs"):
+        assert timing.cycles_for(mnemonic) == 1, mnemonic
+    for mnemonic in ("lb", "lh", "lw", "lbu", "lhu", "cv.lb", "cv.lh", "cv.lw", "cv.lbu", "cv.lhu"):
+        assert timing.cycles_for(mnemonic) == 2, mnemonic
+    for mnemonic in ("sb", "sh", "sw", "cv.sb", "cv.sh", "cv.sw"):
+        assert timing.cycles_for(mnemonic) == 3, mnemonic
+
+
+def test_non_default_memory_cycles_in_the_iss():
+    timing = TimingModel(name="slow-memory", load_cycles=2, store_cycles=3)
+    memory_ops = run(
+        "li a0, 0x100\nlw a1, 0(a0)\nsw a1, 4(a0)\ncv.lw a2, 4(a0!)\ncv.sw a2, 4(a0!)\nebreak",
+        timing,
+    )
+    assert memory_ops.cycles == 1 + 2 + 3 + 2 + 3
+    hwloop = run("li t0, 2\ncv.setup 0, t0, end\naddi a3, a3, 1\nend:\nebreak", timing)
+    assert hwloop.regs[13] == 2
+    assert hwloop.cycles == 1 + 1 + 2  # li, cv.setup (not a store), two addi
