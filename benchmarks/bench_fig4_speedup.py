@@ -94,7 +94,8 @@ def test_fig4_filter_sizes_same_decade(grid):
     reproduction both filter sizes land in the same decade but the 7x7
     speedup is somewhat *lower* (compute scales with K^2 on both sides;
     the paper's 2.8x jump is not explained by its cost structure and is
-    recorded as not reproduced in EXPERIMENTS.md).  This test pins the
+    not reproduced: perfbench's paper_cnn anchor printout shows 153.8x for
+    3x3 and 115.8x for 7x7 against 30x and 84x).  This test pins the
     measured relation so regressions are visible."""
     k3 = _points(grid, dtype="int8", k=3, size=256, lanes=8)[0]
     k7 = _points(grid, dtype="int8", k=7, size=256, lanes=8)[0]

@@ -2,8 +2,10 @@
 
 Prints paper-vs-measured for the headline speedups.  Absolute factors in
 this reproduction run above the paper's (our scalar baseline kernel and
-DMA constants differ from the authors' RTL measurements — see
-EXPERIMENTS.md); the *relations* the paper emphasises are asserted:
+DMA constants differ from the authors' RTL measurements — the anchor
+printout of ``python3 perfbench/run.py --workload paper_cnn`` lists each
+measured value beside the paper's); the *relations* the paper emphasises
+are asserted:
 
 * the 7x7 filter speedup exceeds the 3x3 speedup (84 > 30);
 * multi-instance mode beats single-instance (120 > 30);
@@ -53,7 +55,8 @@ def test_headline_speedups(benchmark, headlines):
 def test_filter_size_relation(headlines):
     """Both headline filter sizes are far beyond the CPU baselines and in
     the same decade; the paper's 30x -> 84x *increase* with filter size is
-    a known non-reproduced relation (see EXPERIMENTS.md)."""
+    a known non-reproduced relation (perfbench's paper_cnn anchor printout
+    shows 153.8x for 3x3 and 115.8x for 7x7)."""
     assert headlines["speedup_int8_7x7_8lane"] > 30.0
     assert headlines["speedup_int8_3x3_8lane"] > 30.0
     ratio = headlines["speedup_int8_7x7_8lane"] / headlines["speedup_int8_3x3_8lane"]

@@ -1,8 +1,10 @@
 """ARCANE reproduction: adaptive RISC-V cache with near-memory extensions.
 
 Functional/cycle-level reproduction of "ARCANE: Adaptive RISC-V Cache
-Architecture for Near-memory Extensions" (DAC 2025).  See DESIGN.md for
-the system inventory and EXPERIMENTS.md for the paper-vs-measured record.
+Architecture for Near-memory Extensions" (DAC 2025).  See README.md for
+the system inventory; ``python3 perfbench/run.py --workload paper_cnn``
+prints the paper-vs-measured record (the ``anchor.*`` lines and their
+RMS log error ``anchor_err``).
 
 Public entry points:
 

@@ -13,6 +13,28 @@ to the VPU the scheduler selected.  The context exposes:
 
 Keeping phase accounting inside the context means kernels cannot forget
 to charge a phase — every effect they can cause is a context call.
+
+Run-ahead compute
+-----------------
+
+Vector instructions and element reads execute functionally at once, but
+their cycles do not suspend the event loop: they accumulate in the
+context's :attr:`~KernelContext.lag` and are charged (to the simulated
+clock and to the *compute* phase) at the next synchronisation point —
+``load_rows``, ``load_packed``, ``load_row_set``, ``store_rows`` and
+``wait_prefetch`` yield the lag first, and the scheduler flushes once
+more after the body returns.  Between two synchronisation points a
+body's effects are private to the VPU it claimed (its registers are
+cache lines the controller keeps out of the address-mapped cache), so
+nothing outside the kernel can observe the difference: LLC-lock
+acquisitions, DMA rows and prefetch exposed-wait arithmetic all happen
+at the same simulated cycle as with one suspension per instruction.
+
+``claim`` and ``prefetch_row_set`` act on shared state at ``sim.now``
+(a claim writes dirty victims back; a prefetch starts a DMA process)
+without being generators, so they must be called with a flushed clock
+— before any compute since the last synchronisation point — and raise
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +49,14 @@ from repro.vpu.visa import ElementType, VectorOp, VectorOpcode
 
 
 class KernelContext:
-    """Execution context handed to a kernel body by the scheduler."""
+    """Execution context handed to a kernel body by the scheduler.
+
+    Compute runs ahead of the simulated clock: each vector instruction
+    or element read adds its cycles to :attr:`lag`, and the lag is
+    charged at the next synchronisation point (a DMA call,
+    ``wait_prefetch``, or the scheduler's :meth:`flush` after the body).
+    ``claim`` and ``prefetch_row_set`` require a flushed clock.
+    """
 
     #: eCPU cycles to read one element out of a vector register via the
     #: memory-mapped window (load + address computation in the C-RT).
@@ -47,6 +76,8 @@ class KernelContext:
         self.dispatcher = dispatcher
         self.phases = phases
         self._windows: List[RegisterWindow] = []
+        #: compute cycles executed but not yet charged to the clock
+        self.lag = 0
 
     # -- register windows ---------------------------------------------------
 
@@ -62,6 +93,7 @@ class KernelContext:
         return self.allocator.free_regs(self.vpu_index)
 
     def claim(self, count: int) -> RegisterWindow:
+        self._require_flushed("claim")
         window = self.allocator.claim(self.vpu_index, count)
         self._windows.append(window)
         return window
@@ -73,6 +105,24 @@ class KernelContext:
                 self.allocator.release(window)
         self._windows.clear()
 
+    # -- synchronisation ------------------------------------------------------
+
+    def flush(self) -> Generator:
+        """Charge the compute run ahead since the last synchronisation point."""
+        lag = self.lag
+        if lag:
+            self.lag = 0
+            self.phases.add("compute", lag)
+            yield lag
+
+    def _require_flushed(self, call: str) -> None:
+        if self.lag:
+            raise RuntimeError(
+                f"{call}() needs a flushed clock, but {self.lag} compute cycles "
+                "are pending; call it before computing, or after a DMA call or "
+                "wait_prefetch"
+            )
+
     # -- data movement --------------------------------------------------------
 
     def load_rows(
@@ -83,6 +133,7 @@ class KernelContext:
         n_rows: int,
         reg_start: int = 0,
     ) -> Generator:
+        yield from self.flush()
         cycles = yield from self.allocator.load_rows(
             window, matrix, row_start, n_rows, reg_start
         )
@@ -95,12 +146,14 @@ class KernelContext:
         matrix: MatrixBinding,
         reg_index: int = 0,
     ) -> Generator:
+        yield from self.flush()
         cycles = yield from self.allocator.load_packed(window, matrix, reg_index)
         self.phases.add("allocation", cycles)
         return cycles
 
     def load_row_set(self, specs) -> Generator:
         """Synchronous batched row load (one lock acquisition)."""
+        yield from self.flush()
         cycles = yield from self.allocator.load_row_set(specs)
         self.phases.add("allocation", cycles)
         return cycles
@@ -113,12 +166,14 @@ class KernelContext:
         charged to the allocation phase — this is the wall-clock
         attribution behind Figure 3's allocation share.
         """
+        self._require_flushed("prefetch_row_set")
         sim = self.allocator.sim
         generator = self.allocator.load_row_set(specs)
         return sim.process(generator, name=f"prefetch.vpu{self.vpu_index}")
 
     def wait_prefetch(self, handle) -> Generator:
         """Join an outstanding prefetch; charge only the exposed wait."""
+        yield from self.flush()
         if handle is None:
             return 0
         sim = self.allocator.sim
@@ -138,6 +193,7 @@ class KernelContext:
         reg_start: int = 0,
         n_cols: Optional[int] = None,
     ) -> Generator:
+        yield from self.flush()
         cycles = yield from self.allocator.store_rows(
             window, matrix, row_start, n_rows, reg_start, n_cols
         )
@@ -159,7 +215,11 @@ class KernelContext:
         vd_offset: int = 0,
         etype: Optional[ElementType] = None,
     ) -> Generator:
-        """Dispatch one vector instruction; yields its pipelined cost."""
+        """Dispatch one vector instruction; returns its pipelined cost.
+
+        A generator (bodies ``yield from`` it) that never suspends: the
+        cost runs ahead in :attr:`lag` until the next synchronisation point.
+        """
         op = VectorOp(
             opcode=opcode,
             etype=etype or self.etype,
@@ -177,14 +237,13 @@ class KernelContext:
     def _issue(self, op: VectorOp) -> Generator:
         """Issue one built :class:`VectorOp` (replay-recording hook point)."""
         cost = self.dispatcher.dispatch(self.vpu_index, op)
-        self.phases.add("compute", cost)
-        yield cost
+        self.lag += cost
         return cost
+        yield  # a generator that never suspends
 
     def read_element(self, vreg: int, index: int, etype: Optional[ElementType] = None) -> Generator:
         """eCPU reads one element from a vector register (returns its value)."""
-        etype = etype or self.etype
-        value = int(self.vpu.vrf.view(vreg, etype)[index])
-        self.phases.add("compute", self.SCALAR_READ_CYCLES)
-        yield self.SCALAR_READ_CYCLES
+        value = int(self.vpu.vrf.view(vreg, etype or self.etype)[index])
+        self.lag += self.SCALAR_READ_CYCLES
         return value
+        yield  # a generator that never suspends

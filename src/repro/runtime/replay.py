@@ -7,10 +7,29 @@ tile-loop generator on every launch: thousands of generator suspensions,
 ``VectorOp`` constructions and per-row bookkeeping just to re-derive a
 micro-program stream that is fully determined by the launch key.  This
 module separates the *schedule* from its *execution* (the Exo/SYS_ATL
-record-once-replay-cheaply idea applied to a simulator): the first launch
+record-once-replay-cheaply idea applied to a simulator): one launch
 records the stream of :class:`~repro.runtime.context.KernelContext`
 effects, and later launches replay that stream in a tight loop with a
 single simulator suspension.
+
+Admission: record on the second sighting
+----------------------------------------
+
+Recording costs host time and memory, and a key seen once — every
+launch of a serving workload that brings fresh operand bytes — never
+pays it back.  So a key is recorded only when it misses for the second
+time:
+
+* on a first local miss the launch runs the plain slow path and the
+  cache only remembers the key (at most ``capacity`` remembered keys,
+  the oldest forgotten first — the same bound as the recordings);
+* a second miss on a remembered key records, as every miss once did;
+* a recording published by another worker (the fleet store) is adopted
+  and replayed on the first local sighting — its first sighting
+  happened elsewhere.
+
+An exact-repeat workload therefore pays one extra slow launch per key,
+and a fresh-data workload stores nothing.
 
 Bit-exactness contract
 ----------------------
@@ -85,6 +104,7 @@ from repro.runtime.context import KernelContext
 from repro.runtime.matrix import MatrixBinding
 from repro.runtime.queue import QueuedKernel
 from repro.vpu.visa import VectorOp
+from repro.vpu.vpu import bind_vop
 
 #: Step opcodes of the recorded effect stream.
 STEP_CLAIM, STEP_LOAD, STEP_STORE, STEP_VOP, STEP_READ, STEP_PREFETCH, STEP_WAIT = (
@@ -360,105 +380,6 @@ def _resolve_ref(ref: tuple, kernel: QueuedKernel) -> MatrixBinding:
 _SEG_OPS = -1
 
 
-def _compile_vop(op: VectorOp, vrf) -> Optional[callable]:
-    """Pre-bind one recorded vector op to a zero-lookup closure.
-
-    Mirrors :meth:`Vpu.execute` functionally, with every view, slice,
-    scalar cast and trait resolved at compile time; only the numpy work
-    remains per call.  Returns None for ``vl == 0`` timing-only ops.
-    """
-    from repro.vpu.visa import VectorOpcode
-
-    vl = op.vl
-    if vl == 0:
-        return None
-    opcode = op.opcode
-    etype = op.etype
-    dtype = etype.np_dtype
-    dst_view = vrf.view(op.vd, etype)
-    dst = dst_view[op.vd_offset : op.vd_offset + vl]
-    if len(dst) != vl:  # pragma: no cover - the recording launch validated this
-        raise ValueError(
-            f"vl={vl} at vd_offset={op.vd_offset} overflows register {op.vd}"
-        )
-    if opcode is VectorOpcode.VCLEAR:
-        def clear() -> None:
-            dst[:] = 0
-        return clear
-
-    view = vrf.view(op.vs1, etype)
-    offset = op.offset
-    if op.stride == 1:
-        src = view[offset : offset + vl]
-        if len(src) != vl:  # pragma: no cover - validated at record time
-            raise ValueError(f"vl={vl} at offset={offset} overflows register {op.vs1}")
-    else:
-        last = offset + op.stride * (vl - 1)
-        if last >= len(view):  # pragma: no cover - validated at record time
-            raise ValueError(
-                f"strided access (off={offset}, stride={op.stride}, vl={vl}) "
-                f"overflows source register {op.vs1}"
-            )
-        src = view[offset : last + 1 : op.stride]
-    scalar = int(op.scalar)
-    int64 = np.int64
-    # Arithmetic note: the slow path computes in int64 and truncates into
-    # the element dtype.  Truncation mod 2**w is a ring homomorphism, so
-    # add/mul/macc chains computed directly in the (wrapping) element
-    # dtype — with the scalar pre-wrapped — produce bit-identical values
-    # while running one same-width ufunc instead of three widening ones.
-    wrapped = int64(scalar).astype(dtype)
-
-    if opcode is VectorOpcode.VMACC_VS:
-        buffer = np.empty(vl, dtype)
-        def macc() -> None:
-            np.multiply(src, wrapped, out=buffer)
-            np.add(dst, buffer, out=dst)
-        return macc
-    if opcode is VectorOpcode.VMV:
-        if op.vs1 == op.vd:
-            def move_aliased() -> None:
-                dst[:] = src.copy()
-            return move_aliased
-        def move() -> None:
-            dst[:] = src
-        return move
-    if opcode in (VectorOpcode.VADD_VV, VectorOpcode.VMUL_VV):
-        other = vrf.view(op.vs2, etype)[:vl]
-        ufunc = np.add if opcode is VectorOpcode.VADD_VV else np.multiply
-        def ewise() -> None:
-            ufunc(src, other, out=dst)
-        return ewise
-    if opcode is VectorOpcode.VMUL_VS:
-        def mul_vs() -> None:
-            np.multiply(src, wrapped, out=dst)
-        return mul_vs
-    if opcode is VectorOpcode.VADD_VS:
-        def add_vs() -> None:
-            np.add(src, wrapped, out=dst)
-        return add_vs
-    if opcode is VectorOpcode.VMAX_VV:
-        def max_vv() -> None:
-            np.maximum(dst, src, out=dst)
-        return max_vv
-    if opcode in (VectorOpcode.VMAX_VS, VectorOpcode.VMIN_VS):
-        np_scalar = dtype(op.scalar)  # slow path semantics: raises on overflow
-        ufunc = np.maximum if opcode is VectorOpcode.VMAX_VS else np.minimum
-        def minmax_vs() -> None:
-            ufunc(src, np_scalar, out=dst)
-        return minmax_vs
-    if opcode is VectorOpcode.VSRA_VS:
-        def sra() -> None:
-            np.right_shift(src, scalar, out=dst)
-        return sra
-    if opcode is VectorOpcode.VREDSUM:
-        vd_offset = op.vd_offset
-        def redsum() -> None:
-            dst_view[vd_offset] = src.astype(int64).sum().astype(dtype)
-        return redsum
-    raise NotImplementedError(opcode)  # pragma: no cover - enum is closed
-
-
 def _compile_steps(recording: Recording, kernel: QueuedKernel, scheduler, vpu_index: int) -> list:
     """Fuse runs of compute steps into pre-bound closure segments.
 
@@ -493,7 +414,7 @@ def _compile_steps(recording: Recording, kernel: QueuedKernel, scheduler, vpu_in
         kind = step[0]
         if kind == STEP_VOP:
             op = step[1]
-            fn = _compile_vop(op, vrf)
+            fn = bind_vop(op, vrf)
             if fn is not None:
                 closures.append(fn)
             op_cycles = vpu.op_cycles(op)
@@ -720,6 +641,9 @@ class ReplayCache:
         #: per-key compiled segment streams (closures binding *this*
         #: system's VRF — never shared or pickled with the recording)
         self._compiled: Dict[tuple, list] = {}
+        #: keys that missed once and were not recorded (admission on the
+        #: second miss), oldest first, at most ``capacity`` of them
+        self._sighted: "OrderedDict[tuple, None]" = OrderedDict()
         self.stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "recorded": 0, "bypassed": 0,
             "invalidated": 0, "fleet_hits": 0,
@@ -826,6 +750,21 @@ class ReplayCache:
         if self.fleet is not None and recording.replayable:
             self.fleet.publish(key, recording)
 
+    def admit(self, key: tuple) -> bool:
+        """Whether a missing ``key`` should be recorded now.
+
+        True on its second miss; on a first miss the key is only
+        remembered, and the launch runs unrecorded.
+        """
+        sighted = self._sighted
+        if key in sighted:
+            del sighted[key]
+            return True
+        sighted[key] = None
+        if len(sighted) > self.capacity:
+            sighted.popitem(last=False)
+        return False
+
     def _trim(self) -> None:
         while len(self._entries) > self.capacity:
             evicted, _ = self._entries.popitem(last=False)
@@ -845,6 +784,7 @@ class ReplayCache:
         self.stats["invalidated"] += len(self._entries)
         self._entries.clear()
         self._compiled.clear()
+        self._sighted.clear()
 
     def invalidate(self, key: tuple) -> None:
         """Drop one recording locally and retract it from the fleet.

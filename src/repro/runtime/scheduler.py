@@ -191,7 +191,7 @@ class KernelScheduler:
         self, kernel: QueuedKernel, spec: KernelSpec, vpu_index: int,
         phases: PhaseBreakdown,
     ) -> Generator:
-        """Fast-path dispatch: replay a recording, or record this launch."""
+        """Fast-path dispatch: replay a recording, or record a repeated key."""
         cache = self.replay_cache
         key = cache.key_for(kernel, vpu_index, self.controller)
         recording = cache.lookup(key)
@@ -211,6 +211,10 @@ class KernelScheduler:
             return
         cache.stats["misses"] += 1
         cache.note_launch(kernel.kernel_id, "miss")
+        if not cache.admit(key):
+            # first sighting: remember the key, record nothing
+            yield from self._execute_single(kernel, spec.body, vpu_index, phases)
+            return
         recording = Recording(vpu_index, self.allocator._free[vpu_index])
         before = dict(phases.cycles)
         yield from self._execute_single(
@@ -267,6 +271,7 @@ class KernelScheduler:
         )
         try:
             yield from body(context, kernel)
+            yield from context.flush()
         finally:
             context.release_all()
             self.dispatcher.release(vpu_index)
@@ -306,6 +311,7 @@ class KernelScheduler:
     ) -> Generator:
         try:
             yield from body(context, kernel, shard=(shard_index, shard_count))
+            yield from context.flush()
         finally:
             context.release_all()
 

@@ -799,7 +799,9 @@ class DispatchCore:
         #: position has taken, and (level 1 only) the worker to re-run on
         corrupted_level: Dict[int, int] = {}
         sticky_retry: Dict[int, int] = {}
-        dispatched_starts: List[int] = []
+        #: min-heap of the start cycles of dispatched requests that had not
+        #: started at the last admission instant (see the depth check)
+        waiting_starts: List[int] = []
         arrived: set = set()
         rec = self.recorder
         request_spans: Dict[int, int] = {}  # position -> open request span
@@ -827,8 +829,13 @@ class DispatchCore:
                 self.supervisor.tick(ready)
             # bounded admission: how many admitted requests are still
             # waiting (dispatched but not yet started) at this instant?
+            # Popped ``ready`` values never decrease (retries and deferrals
+            # re-enter at or after the current instant), so a start at or
+            # before ``ready`` has left the queue for good.
             if self.queue_capacity is not None:
-                depth = sum(1 for s in dispatched_starts if s > ready)
+                while waiting_starts and waiting_starts[0] <= ready:
+                    heapq.heappop(waiting_starts)
+                depth = len(waiting_starts)
                 if depth >= self.queue_capacity:
                     self.events.append(OnlineEvent(ready, SHED, rid))
                     if rec.enabled:
@@ -997,7 +1004,8 @@ class DispatchCore:
                         status=result.status, worker=worker)
             if cycles:
                 self.free_at[worker] = completion
-                dispatched_starts.append(start)
+                if self.queue_capacity is not None:
+                    heapq.heappush(waiting_starts, start)
             self.events.append(OnlineEvent(ready, DISPATCH, rid, worker))
             heapq.heappush(completions, (completion, position, rid, worker))
             results[position] = result

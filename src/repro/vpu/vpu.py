@@ -12,18 +12,20 @@ Timing model (from the NM-Carus microarchitecture the paper builds on):
 * reductions pay an extra ``log2(lanes)`` merge cost.
 
 Functional semantics use wrap-around two's-complement arithmetic in the
-element width, matching the RTL datapath.
+element width, matching the RTL datapath; :func:`bind_vop` is their one
+definition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.sim.stats import StatsRegistry
-from repro.vpu.visa import ElementType, OP_TRAITS, STRIDED_SOURCES, VectorOp, VectorOpcode
+from repro.vpu.visa import ElementType, VectorOp, VectorOpcode
 from repro.vpu.vrf import VectorRegisterFile
 
 
@@ -88,89 +90,124 @@ class Vpu:
 
     def execute(self, op: VectorOp) -> int:
         """Execute ``op`` functionally; return its cycle cost."""
-        opcode = op.opcode
-        etype = op.etype
-        traits = opcode.traits  # hoisted: plain attribute, no enum hashing
-        vl = op.vl
         cycles = self.op_cycles(op)
         # hot path: counters are monotonic by construction, bump directly
         self._c_ops.value += 1
         self._c_cycles.value += cycles
-        self._c_elems.value += vl
-        if vl == 0:
-            return cycles
-
-        dtype = etype.np_dtype
-        dst_view = self.vrf.view(op.vd, etype)
-        dst = dst_view[op.vd_offset : op.vd_offset + vl]
-        if len(dst) != vl:
-            raise ValueError(
-                f"vl={vl} at vd_offset={op.vd_offset} overflows register {op.vd}"
-            )
-
-        if opcode is VectorOpcode.VCLEAR:
-            dst[:] = 0
-            return cycles
-
-        src = self._gather(op.vs1, etype, vl, op.offset, op.stride, op.vd)
-        # vs2 is fetched only by the two-source opcode forms
-        other = (
-            self.vrf.view(op.vs2, etype)[:vl]
-            if traits.n_vs_registers == 2
-            else None
-        )
-
-        if opcode is VectorOpcode.VMV:
-            dst[:] = src
-        elif opcode is VectorOpcode.VADD_VV:
-            dst[:] = (src.astype(np.int64) + other.astype(np.int64)).astype(dtype)
-        elif opcode is VectorOpcode.VMUL_VV:
-            dst[:] = (src.astype(np.int64) * other.astype(np.int64)).astype(dtype)
-        elif opcode is VectorOpcode.VMACC_VS:
-            acc = dst.astype(np.int64) + src.astype(np.int64) * int(op.scalar)
-            dst[:] = acc.astype(dtype)
-        elif opcode is VectorOpcode.VMUL_VS:
-            dst[:] = (src.astype(np.int64) * int(op.scalar)).astype(dtype)
-        elif opcode is VectorOpcode.VADD_VS:
-            dst[:] = (src.astype(np.int64) + int(op.scalar)).astype(dtype)
-        elif opcode is VectorOpcode.VMAX_VV:
-            dst[:] = np.maximum(dst, src)
-        elif opcode is VectorOpcode.VMAX_VS:
-            dst[:] = np.maximum(src, dtype(op.scalar))
-        elif opcode is VectorOpcode.VMIN_VS:
-            dst[:] = np.minimum(src, dtype(op.scalar))
-        elif opcode is VectorOpcode.VSRA_VS:
-            dst[:] = src >> int(op.scalar)
-        elif opcode is VectorOpcode.VREDSUM:
-            # Wrap the int64 total straight through the element dtype (the
-            # old ``& -1`` int64 mask was a no-op on the way to the cast).
-            total = src.astype(np.int64).sum()
-            dst_view[op.vd_offset] = total.astype(dtype)
-        else:  # pragma: no cover - enum is closed
-            raise NotImplementedError(opcode)
+        self._c_elems.value += op.vl
+        effect = bind_vop(op, self.vrf)
+        if effect is not None:
+            effect()
         return cycles
 
-    def _gather(
-        self, vs: int, etype: ElementType, vl: int, offset: int, stride: int,
-        vd: int = -1,
-    ) -> np.ndarray:
-        view = self.vrf.view(vs, etype)
-        if stride == 1:
-            src = view[offset : offset + vl]
-            if len(src) != vl:
-                raise ValueError(
-                    f"vl={vl} at offset={offset} overflows source register {vs}"
-                )
-            return src.copy() if vs == vd else src
+
+@functools.lru_cache(maxsize=1024)
+def _ring_scalar(scalar: int, dtype: type):
+    """``scalar`` wrapped into the element dtype.  Cached: kernels reuse a
+    few filter taps and coefficients, and the cast costs more than the op."""
+    return np.int64(scalar).astype(dtype)
+
+
+def bind_vop(op: VectorOp, vrf: VectorRegisterFile) -> Optional[Callable[[], None]]:
+    """Bind one vector instruction's functional effect to a closure.
+
+    The single definition of the VPU arithmetic: :meth:`Vpu.execute`
+    binds and calls at once, the replay compiler binds once per recorded
+    op and calls on every replay, so the two paths cannot drift apart.
+    Register views, slices, traits and scalar casts are resolved here;
+    the closure does only the numpy work, and reads its sources when
+    called.  Returns None for ``vl == 0`` (timing-only) instructions.
+
+    Arithmetic runs in the element dtype.  Truncation mod ``2**w`` is a
+    ring homomorphism, so add/mul/macc computed directly in the wrapping
+    element dtype — with the scalar pre-wrapped — give the same values
+    as computing in int64 and truncating, with one same-width ufunc
+    instead of three widening casts.  ``VMAX_VS``/``VMIN_VS`` compare,
+    so their scalar must fit the element type: binding raises
+    ``OverflowError`` when it does not.
+    """
+    vl = op.vl
+    if vl == 0:
+        return None
+    opcode = op.opcode
+    etype = op.etype
+    dtype = etype.np_dtype
+    dst_view = vrf.view(op.vd, etype)
+    dst = dst_view[op.vd_offset : op.vd_offset + vl]
+    if len(dst) != vl:
+        raise ValueError(
+            f"vl={vl} at vd_offset={op.vd_offset} overflows register {op.vd}"
+        )
+    if opcode is VectorOpcode.VCLEAR:
+        def clear() -> None:
+            dst[:] = 0
+        return clear
+
+    view = vrf.view(op.vs1, etype)
+    offset = op.offset
+    stride = op.stride
+    if stride == 1:
+        src = view[offset : offset + vl]
+        if len(src) != vl:
+            raise ValueError(
+                f"vl={vl} at offset={offset} overflows source register {op.vs1}"
+            )
+    else:
         last = offset + stride * (vl - 1)
         if last >= len(view):
             raise ValueError(
                 f"strided access (off={offset}, stride={stride}, vl={vl}) "
-                f"overflows source register {vs}"
+                f"overflows source register {op.vs1}"
             )
-        # Strided slice *view* instead of a fancy-index temp array: no
-        # per-op index-array allocation.  Only reads aliasing the
-        # destination register still need a defensive copy (``dst[:] =
-        # src`` with overlapping views is undefined).
+        # a strided slice *view*: no per-op index array
         src = view[offset : last + 1 : stride]
-        return src.copy() if vs == vd else src
+
+    if opcode is VectorOpcode.VMACC_VS:
+        wrapped = _ring_scalar(op.scalar, dtype)
+        buffer = np.empty(vl, dtype)
+        def macc() -> None:
+            np.multiply(src, wrapped, out=buffer)
+            np.add(dst, buffer, out=dst)
+        return macc
+    if opcode is VectorOpcode.VMV:
+        if op.vs1 == op.vd:
+            # an overlapping view of the destination: read it whole first
+            def move_aliased() -> None:
+                dst[:] = src.copy()
+            return move_aliased
+        def move() -> None:
+            dst[:] = src
+        return move
+    if opcode is VectorOpcode.VADD_VV or opcode is VectorOpcode.VMUL_VV:
+        other = vrf.view(op.vs2, etype)[:vl]
+        ufunc = np.add if opcode is VectorOpcode.VADD_VV else np.multiply
+        def ewise() -> None:
+            ufunc(src, other, out=dst)
+        return ewise
+    if opcode is VectorOpcode.VMUL_VS or opcode is VectorOpcode.VADD_VS:
+        wrapped = _ring_scalar(op.scalar, dtype)
+        ufunc = np.multiply if opcode is VectorOpcode.VMUL_VS else np.add
+        def ewise_vs() -> None:
+            ufunc(src, wrapped, out=dst)
+        return ewise_vs
+    if opcode is VectorOpcode.VMAX_VV:
+        def max_vv() -> None:
+            np.maximum(dst, src, out=dst)
+        return max_vv
+    if opcode is VectorOpcode.VMAX_VS or opcode is VectorOpcode.VMIN_VS:
+        bound = dtype(op.scalar)  # raises OverflowError outside the dtype
+        ufunc = np.maximum if opcode is VectorOpcode.VMAX_VS else np.minimum
+        def minmax_vs() -> None:
+            ufunc(src, bound, out=dst)
+        return minmax_vs
+    if opcode is VectorOpcode.VSRA_VS:
+        shift = int(op.scalar)
+        def sra() -> None:
+            np.right_shift(src, shift, out=dst)
+        return sra
+    if opcode is VectorOpcode.VREDSUM:
+        vd_offset = op.vd_offset
+        def redsum() -> None:
+            dst_view[vd_offset] = src.astype(np.int64).sum().astype(dtype)
+        return redsum
+    raise NotImplementedError(opcode)  # pragma: no cover - enum is closed

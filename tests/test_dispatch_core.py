@@ -7,6 +7,8 @@ exactly the cold-cache outputs while giving workers replay hits on
 kernels they never launched first.
 """
 
+import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -238,3 +240,54 @@ class TestProcessClamp:
             warnings.simplefilter("error")
             engine = ServingEngine(pool_size=2, config=CFG, processes=2)
         engine.close()
+
+
+SHEDDING_REFERENCE = pathlib.Path(__file__).parent / "data" / "shedding_reference.json"
+
+#: bounded-queue runs (FIFO: the only immediate admission policy, so the
+#: only one whose queue ever holds dispatched-but-unstarted requests):
+#: (traffic, queue capacity, fault spec)
+SHEDDING_RUNS = {
+    "burst4_cap2_kill_transient": ("bursty:4:12000", 2, "kill:0.15,transient:0.15"),
+    "burst4_cap4_transient": ("bursty:4:12000", 4, "transient:0.3"),
+    "burst6_cap1": ("bursty:6:20000", 1, None),
+    "poisson120_cap2_kill_transient": ("poisson:120", 2, "kill:0.15,transient:0.15"),
+}
+
+
+def shedding_run(name: str) -> dict:
+    """Bursty arrivals into a small bounded queue, with retries that
+    re-enter it later: which requests are shed, and the event log."""
+    traffic, capacity, faults = SHEDDING_RUNS[name]
+    rng = np.random.default_rng(21)
+    requests = [
+        gemm_request(
+            rid,
+            rng.integers(-5, 5, (4 + rid % 5, 6)).astype(np.int16),
+            rng.integers(-5, 5, (6, 5)).astype(np.int16),
+        )
+        for rid in range(48)
+    ]
+    report = ServingEngine(pool_size=2, config=CFG).serve_online(
+        requests, traffic=traffic, seed=3, faults=faults, fault_seed=9,
+        queue_capacity=capacity,
+    )
+    return {
+        "statuses": [result.status for result in report.results],
+        "fault_classes": [result.fault_class for result in report.results],
+        "events": [
+            [event.cycle, event.kind, event.request_id, event.worker]
+            for event in report.dispatch_events
+        ],
+    }
+
+
+class TestBoundedQueue:
+    """Queue-depth admission keeps its decisions and event order."""
+
+    @pytest.mark.parametrize("name", sorted(SHEDDING_RUNS))
+    def test_shedding_matches_reference(self, name):
+        expected = json.loads(SHEDDING_REFERENCE.read_text())[name]
+        observed = shedding_run(name)
+        assert "shed" in observed["statuses"]
+        assert observed == expected

@@ -211,6 +211,7 @@ class TestReplayPoisoningDefense:
         ]
         a = rng.integers(-5, 5, (4, 4)).astype(np.int16)
         b = rng.integers(-5, 5, (4, 4)).astype(np.int16)
+        workers[0].run(gemm_request(2, a, b))  # warm-up: first sighting
         with pytest.raises(SilentCorruptionError):
             workers[0].run(
                 gemm_request(0, a, b),
