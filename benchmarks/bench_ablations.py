@@ -1,13 +1,14 @@
-"""Ablations — the design choices DESIGN.md calls out.
+"""Ablations of ARCANE design choices, each tied to the paper section it follows.
 
-A1.1  VPU selection policy (fewest-dirty vs round-robin vs first-free):
-      the paper motivates fewest-dirty as minimising eviction write-backs.
-A1.2  eCPU issue overhead: the software-decoded dispatch loop is the
-      price of ISA flexibility; sweeping it shows when kernels become
-      issue-bound vs lane-bound.
-A1.3  Off-chip latency: how external-memory speed moves the allocation
-      overhead (the 'optimized DMA transfers' remark of section V-C).
-A1.4  Multi-instance (multi-VPU sharding) scaling.
+A1.1  VPU selection policy (fewest-dirty vs round-robin vs first-free),
+      section IV-B.2: the Kernel Scheduler picks the VPU with the fewest
+      dirty lines to minimise eviction write-backs.
+A1.2  eCPU issue overhead, section IV-B: the C-RT's software-decoded
+      dispatch loop is the price of ISA flexibility; sweeping it shows
+      when kernels become issue-bound vs lane-bound.
+A1.3  Off-chip latency, section V-C: how external-memory speed moves the
+      allocation overhead (the 'optimized DMA transfers' remark).
+A1.4  Multi-instance (multi-VPU sharding) scaling, section V-C.
 """
 
 import dataclasses

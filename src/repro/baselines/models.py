@@ -1,15 +1,16 @@
 """Analytical baseline cycle models, fitted against the ISS.
 
 A 256x256 int8 conv layer is 27M (3x3) to 107M (7x7) CV32E40X cycles.
-The ISS retires one instruction in about 1.2 us [host: 2-vCPU VM,
-``perfbench`` paper_cnn traced ``cpu.iss.us_per_instr``; 3.8-4.1 us
-before it decoded each instruction once], so one such point would take
-half a minute to two minutes instruction by instruction, and the
-benchmark grid needs hundreds of points.  But the generated kernels have *exactly linear* cycle counts in
-their loop-trip structure (every loop contributes a per-iteration cost
-and a per-entry constant; ``li32`` keeps code size shape-independent), so
-a linear model over structural features is exact up to the data-dependent
-branches in the scalar pooling epilogue (a < 0.5 % effect).
+``Cpu.run`` retires one instruction in about 0.2 us [host: 2-vCPU Xeon
+VM, untraced, over the 32 calibration runs below; 0.37 us before it
+executed straight-line blocks], so one such point would take 5 to 20
+seconds instruction by instruction, and the benchmark grid needs
+hundreds of points.  But the generated kernels have *exactly linear*
+cycle counts in their loop-trip structure (every loop contributes a
+per-iteration cost and a per-entry constant; ``li32`` keeps code size
+shape-independent), so a linear model over structural features is exact
+up to the data-dependent branches in the scalar pooling epilogue (a
+< 0.5 % effect).
 
 The model is fitted by least squares over a set of small ISS runs and
 cached per (architecture, element size).  ``tests/test_baseline_models``
@@ -27,8 +28,9 @@ from repro.baselines.pulp_kernels import padded_k, run_pulp_conv_layer, simd_wid
 from repro.baselines.scalar_kernels import ConvLayerShape, run_scalar_conv_layer
 
 #: Calibration shapes: varied (H, W, K) to make the feature matrix well
-#: conditioned.  The slowest takes about 0.2 s on the ISS [host: 2-vCPU
-#: VM; 0.7 s before the ISS decoded each instruction once].
+#: conditioned.  The slowest (int32 18x18, 7x7 taps, scalar) takes about
+#: 0.035 s on the ISS [host: 2-vCPU Xeon VM, best of 3; 0.07 s before
+#: ``Cpu.run`` executed straight-line blocks].
 _CALIBRATION_SHAPES = (
     ConvLayerShape(8, 8, 3),
     ConvLayerShape(10, 14, 3),

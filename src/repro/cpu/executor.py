@@ -550,3 +550,5 @@ for _suffix in xmnmc.SIZE_SUFFIXES:
     _BUILDERS[f"xmr.{_suffix}"] = _offload
     for _func5 in range(xmnmc.MAX_KERNEL_FUNC5 + 1):
         _BUILDERS[f"xmk{_func5}.{_suffix}"] = _offload
+#: the mnemonics whose handler calls out to the attached coprocessor
+OFFLOAD_MNEMONICS = frozenset(m for m, build in _BUILDERS.items() if build is _offload)

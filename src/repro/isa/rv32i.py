@@ -25,6 +25,7 @@ _BRANCHES = {
     0b110: "bltu",
     0b111: "bgeu",
 }
+BRANCH_MNEMONICS = frozenset(_BRANCHES.values())
 _OP_IMM = {
     0b000: "addi",
     0b010: "slti",
@@ -49,7 +50,7 @@ _OP = {
 MNEMONICS = sorted(
     LOAD_MNEMONICS
     | STORE_MNEMONICS
-    | set(_BRANCHES.values())
+    | BRANCH_MNEMONICS
     | set(_OP_IMM.values())
     | set(_OP.values())
     | {"lui", "auipc", "jal", "jalr", "slli", "srli", "srai", "fence", "ecall", "ebreak"}
@@ -142,6 +143,7 @@ _CSR_OPS = {
     0b110: "csrrsi",
     0b111: "csrrci",
 }
+CSR_MNEMONICS = frozenset(_CSR_OPS.values())
 
 
 def _decode_system(word: int) -> Optional[Instruction]:

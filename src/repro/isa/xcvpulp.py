@@ -43,6 +43,7 @@ HWLOOP_F3 = {
     0b100: "cv.setup",  # count = rs1, end = pc + imm*2, start = next pc
     0b101: "cv.setupi",  # count = imm[11:5], end = pc + imm[4:0]*2
 }
+HWLOOP_MNEMONICS = frozenset(HWLOOP_F3.values())
 # Scalar DSP in Custom-1 R-type, funct3=0b110, funct7 selects:
 _SCALAR_DSP_F7 = {
     0b0000000: "cv.mac",  # rd += rs1 * rs2 (signed 32-bit)
@@ -87,7 +88,7 @@ SIMD_BASES = tuple(_SIMD_F7.values())
 MNEMONICS = sorted(
     POSTINC_LOAD_MNEMONICS
     | POSTINC_STORE_MNEMONICS
-    | set(HWLOOP_F3.values())
+    | HWLOOP_MNEMONICS
     | set(_SCALAR_DSP_F7.values())
     | {f"{m}.{s}" for m in SIMD_BASES for s in ("b", "h")}
 )

@@ -222,13 +222,15 @@ class TestDecodeCacheBound:
 
 
 class TestStepContract:
-    """``Cpu.run`` retires every instruction through ``Cpu.step`` (the
-    per-instruction unit that tracers and profilers hook), and the
-    translation cache never outlives the state it was built against."""
+    """``Cpu.step`` retires one instruction (the unit tests, tracers and
+    interrupt injection drive); ``Cpu.run`` retires whole blocks and
+    single-steps only where a block would overrun its instruction budget.
+    The translation and block caches never outlive the state they were
+    built against."""
 
     LOOP = "li a0, 0\nli a1, 5\nloop:\naddi a0, a0, 1\nbne a0, a1, loop\nebreak"
 
-    def test_run_retires_through_step(self, monkeypatch):
+    def test_run_steps_only_at_the_budget_edge(self, monkeypatch):
         calls = []
         original = Cpu.step
 
@@ -238,8 +240,16 @@ class TestStepContract:
 
         monkeypatch.setattr(Cpu, "step", counting)
         cpu = run(self.LOOP)
-        assert cpu.regs[10] == 5
-        assert len(calls) == cpu.instret + 1  # + the halting ebreak
+        assert cpu.regs[10] == 5 and cpu.instret == 12
+        assert calls == []  # every instruction retired inside a block
+        # the first block (li, li, addi, bne) does not fit a budget of 3
+        program = assemble(self.LOOP)
+        memory = MainMemory(4096)
+        memory.write_block(0, bytes(program.data))
+        cpu = Cpu(memory)
+        with pytest.raises(RuntimeError, match="within 3 instructions"):
+            cpu.run(max_instructions=3)
+        assert calls == [0, 4, 8] and cpu.instret == 3
 
     def test_step_returns_the_retired_instruction(self):
         program = assemble("addi a0, zero, 3\nebreak")
