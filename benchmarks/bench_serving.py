@@ -56,8 +56,8 @@ Usage::
 fault draws by ``--fault-seed``, so every section is reproducible.
 ``--smoke`` is the CI configuration: 100 small requests over a pool of
 2, single process — exercising the long-lived-pool lifecycle (the run
-would MemoryError within a handful of requests without heap recycling)
-in a few seconds.  The JSON lands at
+would exhaust the matrix heap within a handful of requests without heap
+recycling) in a few seconds.  The JSON lands at
 ``benchmarks/results/BENCH_serving.json`` by default.
 
 ``--scale`` adds a **scale** section: ``--scale-requests`` (default

@@ -31,7 +31,7 @@ from repro.core.config import (
     PRESET_4_LANES,
     PRESET_8_LANES,
 )
-from repro.core.system import ArcaneSystem, HostProgram, RunReport
+from repro.core.system import ArcaneSystem, HeapExhaustedError, HostProgram, RunReport
 
 __version__ = "1.0.0"
 
@@ -39,6 +39,7 @@ __all__ = [
     "Matrix",
     "ArcaneConfig",
     "ArcaneSystem",
+    "HeapExhaustedError",
     "HostProgram",
     "RunReport",
     "PRESET_2_LANES",

@@ -22,7 +22,7 @@ Typical use (the Python analogue of the paper's Listing 1)::
 
 from repro.core.config import ArcaneConfig, PRESET_2_LANES, PRESET_4_LANES, PRESET_8_LANES
 from repro.core.llc import ArcaneLlc
-from repro.core.system import ArcaneSystem, HostProgram, RunReport
+from repro.core.system import ArcaneSystem, HeapExhaustedError, HostProgram, RunReport
 from repro.core.api import Matrix
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "PRESET_8_LANES",
     "ArcaneLlc",
     "ArcaneSystem",
+    "HeapExhaustedError",
     "HostProgram",
     "RunReport",
     "Matrix",

@@ -47,7 +47,7 @@ class ArcaneConfig:
     vpu_policy: str = "fewest_dirty"  # or "round_robin" / "first_free"
     main_memory_kib: int = 8192
     #: kernel replay cache (bit-exact fast path for repeated launches);
-    #: ``ARCANE_NO_FASTPATH=1`` in the environment overrides this to off
+    #: the one switch for it, reaching the LLC, serving workers and shards
     fastpath: bool = True
 
     def __post_init__(self) -> None:

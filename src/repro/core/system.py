@@ -187,6 +187,14 @@ class HostProgram:
         return False
 
 
+class HeapExhaustedError(RuntimeError):
+    """The matrix heap has no room left for an allocation.
+
+    Distinct from Python's builtin ``MemoryError``, which means the host
+    process itself ran out of memory.
+    """
+
+
 class ArcaneSystem:
     """One simulated X-HEEP MCU with its data LLC replaced by ARCANE."""
 
@@ -197,19 +205,14 @@ class ArcaneSystem:
         self,
         config: Optional[ArcaneConfig] = None,
         trace: bool = False,
-        fastpath: Optional[bool] = None,
     ) -> None:
         """Build one system.
 
-        ``fastpath`` overrides ``config.fastpath`` when given (debugging
-        convenience — ``ArcaneSystem(fastpath=False)`` forces every kernel
-        launch down the slow interpreted path; ``ARCANE_NO_FASTPATH=1``
-        does the same globally).  Tracing also disables the fast path: a
-        replayed kernel would not emit per-operation trace events.
+        ``config.fastpath=False`` forces every kernel launch down the slow
+        interpreted path.  Tracing also disables the fast path: a replayed
+        kernel would not emit per-operation trace events.
         """
         self.config = config or ArcaneConfig()
-        if fastpath is not None:
-            self.config = self.config.with_fastpath(fastpath)
         self.sim = Simulator()
         self.stats = StatsRegistry()
         self.tracer = Tracer(enabled=trace)
@@ -251,7 +254,7 @@ class ArcaneSystem:
                 return address
         address = self._heap
         if address + reserved > self.memory.base + self.memory.size:
-            raise MemoryError(
+            raise HeapExhaustedError(
                 f"matrix heap exhausted placing {n_bytes} bytes at {address:#x} "
                 f"({self.heap_stats()['live_bytes']} bytes live; free_matrix() or "
                 "reset_heap() reclaims space on a long-lived system)"

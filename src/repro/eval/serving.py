@@ -202,12 +202,13 @@ class ServingReport:
     def events(self) -> List[Dict]:
         """The run's chronological event stream, merged and cycle-sorted.
 
-        Unifies the three logs that used to require hand zip-merging:
-        dispatcher lifecycle events (``source="dispatch"``:
-        arrival/dispatch/completion), fault events (``source="fault"``:
-        fail/retry/shed), and worker health transitions
-        (``source="health"``: quarantine/probation/reinstatement).  The
-        sort is stable, so same-cycle events keep their per-log order.
+        Merges the dispatch core's event log, split by source into
+        lifecycle events (``source="dispatch"``:
+        arrival/dispatch/completion) and fault events
+        (``source="fault"``: fail/retry/shed), with the supervisor's
+        worker health transitions (``source="health"``:
+        quarantine/probation/reinstatement).  The sort is stable, so
+        same-cycle events keep their per-log order.
         """
         merged: List[Dict] = []
         for event in self.dispatch_events:

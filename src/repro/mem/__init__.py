@@ -6,14 +6,13 @@ allocation all go through the :class:`~repro.mem.dma.Dma2D` engine
 modelled here.
 """
 
-from repro.mem.memory import MainMemory, MainMemoryError, MemoryError
+from repro.mem.memory import MainMemory, MainMemoryError
 from repro.mem.bus import BusModel
 from repro.mem.dma import Dma2D, DmaRequest
 
 __all__ = [
     "MainMemory",
     "MainMemoryError",
-    "MemoryError",  # deprecated alias of MainMemoryError
     "BusModel",
     "Dma2D",
     "DmaRequest",

@@ -22,13 +22,6 @@ class MainMemoryError(RuntimeError):
     """Out-of-range or misaligned access."""
 
 
-#: Deprecated alias.  The original name shadowed the Python builtin
-#: ``MemoryError``, which made ``except MemoryError:`` handlers catch
-#: simulator access errors (or vice versa) depending on which name was
-#: imported.  Import :class:`MainMemoryError` instead.
-MemoryError = MainMemoryError
-
-
 class MainMemory:
     """A flat little-endian memory region of ``size`` bytes starting at ``base``."""
 

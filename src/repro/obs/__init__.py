@@ -22,23 +22,21 @@ from repro.obs.metrics import (
 )
 from repro.obs.spans import (
     CATEGORIES,
-    NULL_RECORDER,
     InstantEvent,
-    NullRecorder,
     Span,
     SpanRecorder,
+    build_spans,
 )
 
 __all__ = [
     "CATEGORIES",
-    "NULL_RECORDER",
     "REQUIRED_EVENT_KEYS",
     "InstantEvent",
-    "NullRecorder",
     "RollingMetrics",
     "Span",
     "SpanRecorder",
     "auto_interval",
+    "build_spans",
     "build_timeline",
     "chrome_trace",
     "render_timeline",

@@ -12,13 +12,12 @@ cycle domain the dispatcher runs in::
         dispatch  (worker 1)       [start ........... completion]
           launch gemm (replay=hit) [start .. start+cycles]
 
-Spans are pure host-side bookkeeping: nothing in the simulated machine
-observes them, so an instrumented run is bit-identical (outputs, cycle
-counts, stats) to an un-instrumented one.  The disabled path is a
-:class:`NullRecorder` whose methods are no-ops — the dispatcher guards
-its span blocks on ``recorder.enabled``, mirroring the
-:class:`~repro.sim.trace.Tracer` disabled idiom, so observability off
-costs one attribute check per request.
+Spans are pure host-side bookkeeping: :func:`build_spans` folds them
+after the run from the dispatch core's event log
+(:attr:`~repro.serve.dispatch.DispatchCore.events`), the per-request
+results and the supervisor's health log.  The loop itself records
+nothing else, so an observed run is bit-identical (outputs, cycle
+counts, stats) to an unobserved one.
 
 Span categories (:data:`CATEGORIES`):
 
@@ -41,7 +40,7 @@ alongside on :attr:`SpanRecorder.instants`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 #: Span categories in parent-before-child order.
 CATEGORIES = ("request", "attempt", "queue_wait", "dispatch", "launch")
@@ -88,44 +87,8 @@ class InstantEvent:
     attrs: Dict[str, Any] = field(default_factory=dict)
 
 
-class NullRecorder:
-    """The disabled recorder: every operation is a no-op.
-
-    Shared default for all observability hooks, so instrumented code can
-    call ``recorder.instant(...)`` unconditionally where it is cold, and
-    guard on :attr:`enabled` only in per-request hot paths.
-    """
-
-    enabled = False
-
-    def begin(
-        self,
-        name: str,
-        category: str,
-        cycle: int,
-        parent: Optional[int] = None,
-        **attrs: Any,
-    ) -> int:
-        return 0
-
-    def end(self, span_id: int, cycle: int, **attrs: Any) -> None:
-        pass
-
-    def annotate(self, span_id: int, **attrs: Any) -> None:
-        pass
-
-    def instant(self, name: str, cycle: int, **attrs: Any) -> None:
-        pass
-
-
-#: module-level singleton: the one NullRecorder everything defaults to
-NULL_RECORDER = NullRecorder()
-
-
-class SpanRecorder(NullRecorder):
+class SpanRecorder:
     """Collects spans and instant events for one serving run."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
@@ -172,12 +135,6 @@ class SpanRecorder(NullRecorder):
                 span.attrs[key] = value
         self._open -= 1
 
-    def annotate(self, span_id: int, **attrs: Any) -> None:
-        span = self.spans[span_id]
-        for key, value in attrs.items():
-            if value is not None:
-                span.attrs[key] = value
-
     def instant(self, name: str, cycle: int, **attrs: Any) -> None:
         self.instants.append(
             InstantEvent(int(cycle), name, {k: v for k, v in attrs.items()
@@ -216,3 +173,66 @@ class SpanRecorder(NullRecorder):
         for key, value in attrs.items():
             selected = [s for s in selected if s.attrs.get(key) == value]
         return selected
+
+
+def build_spans(
+    events: Sequence, results: Sequence, health_events: Sequence[Dict]
+) -> SpanRecorder:
+    """Fold one observed cycle-clock run (``OnlineEvent`` log, its results,
+    the supervisor's health log) into a :class:`SpanRecorder`.
+
+    Walking the log in emission order gives span ids in decision order.
+    Fold before output validation re-labels results.  A quarantine that
+    made the core rebuild the worker is followed by a ``rebuilt`` instant.
+    """
+    by_id = {result.request_id: result for result in results}
+    recorder = SpanRecorder()
+    request_span: Dict[int, int] = {}
+    for event in events:
+        kind, rid, cycle = event.kind, event.request_id, event.cycle
+        if kind == "arrival":
+            request_span[rid] = recorder.begin(
+                f"request {rid}", "request", cycle, request=rid, kind=by_id[rid].kind
+            )
+        elif kind == "shed":
+            recorder.end(request_span[rid], cycle, status="shed", cause=event.cause)
+        elif kind in ("fail", "dispatch"):
+            result = by_id[rid]
+            attempt = recorder.begin(
+                f"attempt {event.attempt}", "attempt", cycle, parent=request_span[rid],
+                request=rid, attempt=event.attempt, worker=event.worker,
+                cause="retry" if event.attempt > 1 else None,
+                failover=event.failover or None,
+            )
+            if kind == "fail":
+                # a fault fires at its dispatch instant: zero duration
+                recorder.end(attempt, cycle, status="failed",
+                             fault_class=event.fault_class,
+                             injected=event.injected or None)
+                if result.status == "failed" and result.attempts == event.attempt:
+                    recorder.end(request_span[rid], cycle, status="failed",
+                                 fault_class=event.fault_class)
+                continue
+            start, end = result.start_cycle, result.completion_cycle
+            recorder.end(recorder.begin("queue_wait", "queue_wait", cycle,
+                                        parent=attempt, request=rid), start)
+            service = recorder.begin(f"serve {rid}", "dispatch", start,
+                                     parent=attempt, request=rid, worker=event.worker)
+            for launch in result.launches:
+                recorder.end(recorder.begin(
+                    launch["name"], "launch", launch["start_cycle"], parent=service,
+                    request=rid, worker=event.worker, kernel_id=launch["kernel_id"],
+                    replay=launch["replay"],
+                ), launch["end_cycle"])
+            recorder.end(service, end)
+            recorder.end(attempt, end, status=result.status)
+            recorder.end(request_span[rid], end, status=result.status,
+                         worker=event.worker)
+    rebuilds = iter([
+        e.rebuilt for e in events if e.kind == "fail" and e.rebuilt is not None
+    ])
+    for entry in health_events:
+        recorder.instant(entry["event"], entry["cycle"], worker=entry["worker"])
+        if entry["event"] == "quarantined" and next(rebuilds, False):
+            recorder.instant("rebuilt", entry["cycle"], worker=entry["worker"])
+    return recorder

@@ -21,7 +21,7 @@ from repro.runtime.kernel_lib import KernelLibrary
 from repro.runtime.matrix import MatrixMap
 from repro.runtime.phases import PhaseBreakdown
 from repro.runtime.queue import KernelQueue, QueuedKernel
-from repro.runtime.replay import ReplayCache, fastpath_enabled
+from repro.runtime.replay import ReplayCache
 from repro.runtime.scheduler import KernelScheduler
 from repro.sim.kernel import Process, Simulator
 from repro.sim.stats import StatsRegistry
@@ -63,11 +63,9 @@ class CacheRuntime:
             self.stats, self.tracer, decode_costs,
         )
         #: the kernel replay cache (None when the fast path is disabled via
-        #: config, ``ARCANE_NO_FASTPATH=1`` or per-op tracing)
+        #: config or per-op tracing)
         self.replay_cache = (
-            ReplayCache(self.library)
-            if fastpath_enabled(fastpath) and not self.tracer.enabled
-            else None
+            ReplayCache(self.library) if fastpath and not self.tracer.enabled else None
         )
         self.scheduler = KernelScheduler(
             sim, self.queue, self.library, dispatcher, self.allocator, controller,

@@ -88,13 +88,12 @@ body's locked DMA sections, while a replay has already applied them.
 in flight, which covers every launch-time race; serving workloads — the
 fast path's purpose — issue only offloads while kernels execute, so no
 such traffic exists there.  Debugging a workload that does mix them:
-``ARCANE_NO_FASTPATH=1``.
+``ArcaneConfig(fastpath=False)``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -124,12 +123,6 @@ class ReplayDivergence(RuntimeError):
     invalidated locally and retracted from the fleet cache — and the
     serving worker converts it into a retryable ``corrupted`` failure.
     """
-
-
-def fastpath_enabled(flag: bool) -> bool:
-    """Resolve the effective fast-path switch (``ARCANE_NO_FASTPATH=1``
-    overrides any constructor/config request to enable it)."""
-    return flag and os.environ.get("ARCANE_NO_FASTPATH", "") in ("", "0")
 
 
 class Recording:

@@ -37,9 +37,11 @@ from repro.serve.dispatch import (
     SEQUENCE_CLOCK,
     AdmissionPolicy,
     DispatchCore,
+    OnlineEvent,
     ProcessPool,
     SerialPool,
     estimate_service_cycles,
+    fold_tallies,
 )
 from repro.integrity.check import INTEGRITY_POLICIES
 from repro.integrity.inject import CORRUPTION_KINDS
@@ -61,7 +63,6 @@ from repro.serve.faults import (
 )
 from repro.serve.fleet import FleetReplayCache
 from repro.serve.golden import expected_output, kernel_golden
-from repro.serve.online import OnlineDispatcher, OnlineEvent
 from repro.serve.request import (
     KINDS,
     STATUSES,
@@ -105,7 +106,6 @@ __all__ = [
     "GraphNode",
     "InferenceRequest",
     "KernelKilledError",
-    "OnlineDispatcher",
     "OnlineEvent",
     "ProcessPool",
     "RequestRejected",
@@ -126,6 +126,7 @@ __all__ = [
     "conv_layer_request",
     "estimate_service_cycles",
     "expected_output",
+    "fold_tallies",
     "gemm_request",
     "graph_request",
     "kernel_golden",

@@ -4,8 +4,8 @@ Before this module, ``serve/`` had three divergent execution paths —
 offline serial (faults + retry + quarantine), offline parallel shards
 (no faults, no retry), and online (serial pool only, plain FIFO).  The
 :class:`DispatchCore` replaces all three with **one event loop** that
-owns admission, worker selection, retry/failover, quarantine, deadlines
-and span/metrics hooks, parameterized by three orthogonal pieces of
+owns admission, worker selection, retry/failover, quarantine and
+deadlines, parameterized by three orthogonal pieces of
 data (the Exo/SYS_ATL scheduling-as-data idiom: one fixed algorithm,
 policies as values):
 
@@ -50,11 +50,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.spans import NULL_RECORDER, NullRecorder
 from repro.serve.faults import (
     FaultInjector,
     RetryPolicy,
@@ -79,19 +78,58 @@ RETRY = "retry"
 SHED = "shed"
 
 
-@dataclass(frozen=True)
-class OnlineEvent:
-    """One entry in the dispatch event log.
+class OnlineEvent(NamedTuple):
+    """One entry in the dispatch event log, the loop's only record.
 
     ``cycle`` is a simulated cycle under :data:`CYCLE_CLOCK` and the
     dispatch sequence number under :data:`SEQUENCE_CLOCK` (matching the
-    :class:`~repro.serve.faults.WorkerSupervisor` convention).
+    :class:`~repro.serve.faults.WorkerSupervisor` convention).  The
+    fields after ``worker`` carry what the folds over the log need:
+    ``attempt`` and ``failover`` on dispatch and fail events;
+    ``fault_class``, ``injected`` and ``rebuilt`` on fail events
+    (``rebuilt`` is None unless the failure quarantined the worker, and
+    then says whether the core rebuilt it); ``cause`` on shed events
+    (``queue_full`` or ``deadline``).
     """
 
     cycle: int
     kind: str
     request_id: int
     worker: Optional[int] = None
+    attempt: Optional[int] = None
+    failover: Optional[bool] = None
+    fault_class: Optional[str] = None
+    injected: Optional[bool] = None
+    rebuilt: Optional[bool] = None
+    cause: Optional[str] = None
+
+
+def fold_tallies(
+    events: Sequence[OnlineEvent],
+) -> Tuple[Dict, Dict[str, int], List[int]]:
+    """Fold an event log into (availability tally with fault classes in
+    first-failure order, corruption-escalation tally, ids of requests
+    with a ``corrupted`` failure).  Attempts after a request's first
+    ``corrupted`` failure bypass the replay fast path; its later ones
+    escalate to failover."""
+    by_class: Dict[str, int] = {}
+    tally: Dict = {"retries": 0, "failovers": 0, "failed_attempts_by_class": by_class}
+    corruption = {"escalations": 0, "bypass_retries": 0, "failover_escalations": 0}
+    corrupted: Dict[int, None] = {}
+    for event in events:
+        if event.kind == RETRY:
+            tally["retries"] += 1
+        elif event.kind in (DISPATCH, FAIL):
+            tally["failovers"] += event.failover
+            seen = event.request_id in corrupted
+            corruption["bypass_retries"] += seen
+            if event.kind == FAIL:
+                by_class[event.fault_class] = by_class.get(event.fault_class, 0) + 1
+                if event.fault_class == "corrupted":
+                    corruption["escalations"] += 1
+                    corruption["failover_escalations"] += seen
+                    corrupted[event.request_id] = None
+    return tally, corruption, list(corrupted)
 
 
 # -- admission policies -------------------------------------------------------
@@ -276,17 +314,6 @@ class SerialPool:
             cache = w.system.llc.runtime.replay_cache
             stats[w.index] = dict(cache.stats) if cache is not None else None
         return stats
-
-    def run_batch(
-        self, assignments: Sequence[Tuple[int, InferenceRequest]]
-    ) -> Tuple[float, List[RequestResult]]:
-        """Static batch execution (no retries), timing the serving loop."""
-        start = time.perf_counter()
-        results = [
-            _run_static(self.workers[worker], worker, request)
-            for worker, request in assignments
-        ]
-        return time.perf_counter() - start, results
 
     def close(self) -> None:
         pass
@@ -629,13 +656,19 @@ class DispatchCore:
     :data:`SEQUENCE_CLOCK` ``ready`` is the dispatch sequence number,
     the engine's precomputed assignment is the first-attempt worker and
     retries rebalance by accumulated busy cycles.  Faults, retry,
-    failover, quarantine, bounded admission, deadlines and span
-    recording behave identically on both clocks (deadlines and the
-    simulated timeline exist only in cycles).
+    failover, quarantine, bounded admission and deadlines behave
+    identically on both clocks (deadlines and the simulated timeline
+    exist only in cycles).
 
     The core draws every fault itself and mirrors worker-side effects
     through the backend, so the same decisions reach the same workers
-    regardless of where those workers live.
+    regardless of where those workers live.  Every decision lands in
+    one record, :attr:`events`; the report's tallies
+    (:func:`fold_tallies`), span trees
+    (:func:`~repro.obs.spans.build_spans`) and timeline
+    (:func:`~repro.obs.metrics.build_timeline`) are folds over it.
+    ``observe=True`` makes the backends collect per-launch records on
+    each result, stamped with their absolute cycle windows.
     """
 
     def __init__(
@@ -647,7 +680,7 @@ class DispatchCore:
         retry: Optional[RetryPolicy] = None,
         supervisor: Optional[WorkerSupervisor] = None,
         queue_capacity: Optional[int] = None,
-        recorder: NullRecorder = NULL_RECORDER,
+        observe: bool = False,
     ) -> None:
         if clock not in CLOCKS:
             raise ValueError(f"unknown clock {clock!r}; expected one of {CLOCKS}")
@@ -662,30 +695,11 @@ class DispatchCore:
         self.retry = retry or RetryPolicy()
         self.supervisor = supervisor
         self.queue_capacity = queue_capacity
-        #: observability recorder; the default no-op costs one attribute
-        #: check per request (mirrors the Tracer's disabled path)
-        self.recorder = recorder
+        self.observe = observe
         #: cycle at which each worker drains all dispatched work
         self.free_at = [0] * backend.n_workers
         #: chronological event log (arrival/dispatch/completion/fail/retry/shed)
         self.events: List[OnlineEvent] = []
-        #: availability tally for the serving report
-        self.tally: Dict = {
-            "retries": 0,
-            "failovers": 0,
-            "failed_attempts_by_class": {},
-        }
-        #: corruption-recovery tally, kept out of ``tally`` so the
-        #: availability schema stays byte-identical when nothing corrupts;
-        #: the engine folds it into the report's ``integrity`` section
-        self.corruption_tally: Dict[str, int] = {
-            "escalations": 0,
-            "bypass_retries": 0,
-            "failover_escalations": 0,
-        }
-        #: request positions that suffered >= 1 corrupted-class failure
-        #: in the last ``run`` (filled at the end of every run)
-        self.corrupted_positions: List[int] = []
 
     def backlog(self, worker: int, now: int) -> int:
         """Cycles of pending work on ``worker`` as seen at cycle ``now``."""
@@ -795,16 +809,15 @@ class DispatchCore:
         results: List[Optional[RequestResult]] = [None] * len(requests)
         attempt_errors: Dict[int, List[str]] = {}
         last_failed: Dict[int, int] = {}
-        #: corruption-escalation state: how many ``corrupted`` failures a
-        #: position has taken, and (level 1 only) the worker to re-run on
-        corrupted_level: Dict[int, int] = {}
+        #: corruption-escalation state: positions that took a ``corrupted``
+        #: failure, and (after the first one only) the worker to re-run on
+        corrupted: set = set()
         sticky_retry: Dict[int, int] = {}
         #: min-heap of the start cycles of dispatched requests that had not
         #: started at the last admission instant (see the depth check)
         waiting_starts: List[int] = []
         arrived: set = set()
-        rec = self.recorder
-        request_spans: Dict[int, int] = {}  # position -> open request span
+        events = self.events
 
         while pending:
             entry = heapq.heappop(pending)
@@ -816,15 +829,10 @@ class DispatchCore:
             # event log interleaves chronologically
             while completions and completions[0][0] <= ready:
                 cycle, _, crid, worker = heapq.heappop(completions)
-                self.events.append(OnlineEvent(cycle, COMPLETION, crid, worker))
+                events.append(OnlineEvent(cycle, COMPLETION, crid, worker))
             if attempt == 1 and position not in arrived:
                 arrived.add(position)
-                self.events.append(OnlineEvent(ready, ARRIVAL, rid))
-                if rec.enabled:
-                    request_spans[position] = rec.begin(
-                        f"request {rid}", "request", ready,
-                        request=rid, kind=request.kind,
-                    )
+                events.append(OnlineEvent(ready, ARRIVAL, rid))
             if self.supervisor is not None:
                 self.supervisor.tick(ready)
             # bounded admission: how many admitted requests are still
@@ -837,10 +845,7 @@ class DispatchCore:
                     heapq.heappop(waiting_starts)
                 depth = len(waiting_starts)
                 if depth >= self.queue_capacity:
-                    self.events.append(OnlineEvent(ready, SHED, rid))
-                    if rec.enabled:
-                        rec.end(request_spans[position], ready,
-                                status="shed", cause="queue_full")
+                    events.append(OnlineEvent(ready, SHED, rid, cause="queue_full"))
                     results[position] = RequestResult.failure(
                         request, "shed",
                         f"admission queue full ({depth} waiting, capacity "
@@ -879,10 +884,7 @@ class DispatchCore:
                 and request.deadline_cycle is not None
                 and start > request.deadline_cycle
             ):
-                self.events.append(OnlineEvent(ready, SHED, rid))
-                if rec.enabled:
-                    rec.end(request_spans[position], ready,
-                            status="shed", cause="deadline")
+                events.append(OnlineEvent(ready, SHED, rid, cause="deadline"))
                 results[position] = RequestResult.failure(
                     request, "shed",
                     f"projected start cycle {start} past deadline "
@@ -899,46 +901,22 @@ class DispatchCore:
                 )
                 continue
             failover = attempt > 1 and worker != last_failed.get(position)
-            if failover:
-                self.tally["failovers"] += 1
-            bypass = corrupted_level.get(position, 0) > 0
-            if bypass and attempt > 1:
-                self.corruption_tally["bypass_retries"] += 1
-            attempt_span = 0
-            if rec.enabled:
-                attempt_span = rec.begin(
-                    f"attempt {attempt}", "attempt", ready,
-                    parent=request_spans[position],
-                    request=rid, attempt=attempt, worker=worker,
-                    cause="retry" if attempt > 1 else None,
-                    failover=failover or None,
-                )
             result, error = self._attempt(
-                worker, request, attempt, rec.enabled, bypass_fastpath=bypass
+                worker, request, attempt, self.observe,
+                bypass_fastpath=position in corrupted,
             )
             if error is not None:
-                if rec.enabled:
-                    # a fault fires at its dispatch instant: zero duration
-                    rec.end(attempt_span, ready, status="failed",
-                            fault_class=error.fault_class,
-                            injected=error.injected or None)
                 self._record_failure(
-                    request, worker, ready, attempt, error,
+                    request, worker, ready, attempt, failover, error,
                     attempt_errors.setdefault(position, []),
                 )
                 last_failed[position] = worker
-                if error.fault_class == "corrupted":
-                    level = corrupted_level.get(position, 0) + 1
-                    corrupted_level[position] = level
-                    self.corruption_tally["escalations"] += 1
-                    if level == 1:
-                        sticky_retry[position] = worker
-                    else:
-                        self.corruption_tally["failover_escalations"] += 1
+                if error.fault_class == "corrupted" and position not in corrupted:
+                    corrupted.add(position)
+                    sticky_retry[position] = worker
                 if error.retryable and attempt < self.retry.max_attempts:
                     retry_at = ready + self.retry.backoff(attempt) if cycles else ready
-                    self.events.append(OnlineEvent(ready, RETRY, rid, worker))
-                    self.tally["retries"] += 1
+                    events.append(OnlineEvent(ready, RETRY, rid, worker))
                     heapq.heappush(
                         pending,
                         (retry_at, *rank_of[position], next_seq, attempt + 1,
@@ -946,9 +924,6 @@ class DispatchCore:
                     )
                     next_seq += 1
                 else:
-                    if rec.enabled:
-                        rec.end(request_spans[position], ready,
-                                status="failed", fault_class=error.fault_class)
                     results[position] = RequestResult.failure(
                         request, "failed",
                         "; ".join(attempt_errors.get(position, [])),
@@ -975,47 +950,23 @@ class DispatchCore:
                     result.status = "timed_out"
             else:
                 completion = ready
-            if rec.enabled:
-                wait_span = rec.begin("queue_wait", "queue_wait", ready,
-                                      parent=attempt_span, request=rid)
-                rec.end(wait_span, start)
-                service_span = rec.begin(
-                    f"serve {rid}", "dispatch", start,
-                    parent=attempt_span, request=rid, worker=worker,
-                )
-                # launches lie back-to-back from the service start (the
-                # worker executes them serially); stamp the absolute
-                # window on each record for the rolling metrics
-                cursor = start
-                for launch in result.launches:
-                    launch_end = cursor + launch["cycles"]
-                    launch["start_cycle"] = cursor
-                    launch["end_cycle"] = launch_end
-                    launch_span = rec.begin(
-                        launch["name"], "launch", cursor,
-                        parent=service_span, request=rid, worker=worker,
-                        kernel_id=launch["kernel_id"], replay=launch["replay"],
-                    )
-                    rec.end(launch_span, launch_end)
-                    cursor = launch_end
-                rec.end(service_span, completion)
-                rec.end(attempt_span, completion, status=result.status)
-                rec.end(request_spans[position], completion,
-                        status=result.status, worker=worker)
+            # launches lie back-to-back from the service start (the worker
+            # executes them serially); stamp the absolute window on each
+            # record for the launch spans and the rolling metrics
+            cursor = start
+            for launch in result.launches:
+                launch["start_cycle"] = cursor
+                cursor = launch["end_cycle"] = cursor + launch["cycles"]
             if cycles:
                 self.free_at[worker] = completion
                 if self.queue_capacity is not None:
                     heapq.heappush(waiting_starts, start)
-            self.events.append(OnlineEvent(ready, DISPATCH, rid, worker))
+            events.append(OnlineEvent(ready, DISPATCH, rid, worker, attempt, failover))
             heapq.heappush(completions, (completion, position, rid, worker))
             results[position] = result
         while completions:
             cycle, _, crid, worker = heapq.heappop(completions)
-            self.events.append(OnlineEvent(cycle, COMPLETION, crid, worker))
-        # positions whose attempts raised at least one corrupted-class
-        # failure; the engine maps these back to requests for the
-        # report's detection/recovery accounting
-        self.corrupted_positions = sorted(corrupted_level)
+            events.append(OnlineEvent(cycle, COMPLETION, crid, worker))
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
@@ -1025,26 +976,30 @@ class DispatchCore:
         worker: int,
         cycle: int,
         attempt: int,
+        failover: bool,
         error: ServingError,
         history: List[str],
     ) -> None:
-        """Log one failed attempt: event, class tally, recovery diagnostic,
-        supervision (quarantine rebuilds the worker's system)."""
-        self.events.append(OnlineEvent(cycle, FAIL, request.request_id, worker))
+        """Log one failed attempt: recovery diagnostic, supervision
+        (quarantine rebuilds the worker's system), event."""
         history.append(f"attempt {attempt} on worker {worker}: {error}")
         recovery = self.backend.last_recovery(worker)
         if recovery and recovery.get("error"):
             history.append(
                 f"worker {worker} rebuilt after reset failure: {recovery['error']}"
             )
-        by_class = self.tally["failed_attempts_by_class"]
-        by_class[error.fault_class] = by_class.get(error.fault_class, 0) + 1
-        if self.supervisor is not None:
-            quarantined = self.supervisor.record_failure(worker, cycle, error)
-            if quarantined and not isinstance(error, WorkerCrashError):
-                # a crash already rebuilt the worker at injection time
+        rebuilt = None
+        if self.supervisor is not None and self.supervisor.record_failure(
+            worker, cycle, error
+        ):
+            # a crash already rebuilt the worker at injection time
+            rebuilt = not isinstance(error, WorkerCrashError)
+            if rebuilt:
                 self.backend.rebuild(worker)
-                self.recorder.instant("rebuilt", cycle, worker=worker)
+        self.events.append(OnlineEvent(
+            cycle, FAIL, request.request_id, worker, attempt, failover,
+            error.fault_class, error.injected, rebuilt,
+        ))
 
     @property
     def makespan_cycles(self) -> int:

@@ -33,8 +33,9 @@ modes are thin frontends over the unified
   whole pool; results are bit-exact with the cache off;
 * **aggregation** — per-request :class:`RunReport`s fold into a
   :class:`~repro.eval.serving.ServingReport` with throughput, latency
-  percentiles, an availability section and per-worker replay-cache
-  deltas.
+  percentiles and per-worker replay-cache deltas; the availability and
+  integrity tallies, span trees and timeline are folds over the core's
+  event log.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.integrity.check import coerce_policy
 from repro.integrity.check import covered as abft_covered
 from repro.integrity.inject import CORRUPTION_KINDS
 from repro.obs.metrics import build_timeline
-from repro.obs.spans import NULL_RECORDER, NullRecorder, SpanRecorder
+from repro.obs.spans import build_spans
 from repro.serve.dispatch import (
     CYCLE_CLOCK,
     SEQUENCE_CLOCK,
@@ -63,6 +64,7 @@ from repro.serve.dispatch import (
     DispatchCore,
     ProcessPool,
     SerialPool,
+    fold_tallies,
 )
 from repro.serve.faults import (
     FaultInjector,
@@ -465,7 +467,6 @@ class ServingEngine:
             health = None
             events = None
             injector = None
-            core = None
         else:
             injector = FaultInjector(plan, fault_seed) if plan else None
             supervisor = WorkerSupervisor(self.pool_size)
@@ -478,8 +479,8 @@ class ServingEngine:
             start = time.perf_counter()
             results = core.run(requests, preferred=preferred)
             wall = time.perf_counter() - start
-            health = self._collect_health(injector, supervisor, core.tally, before)
             events = core.events
+            health = self._collect_health(injector, supervisor, events, before)
         # offline dispatch order is positional either way; the report
         # still records the engine's policy so runs are comparable
         admission = self.admission.kind
@@ -500,7 +501,7 @@ class ServingEngine:
         report.replay = self._replay_delta(replay_before)
         report.autotune = self._autotune_report()
         report.integrity = self._collect_integrity(
-            injector, core, requests, results, validated
+            injector, events or [], requests, results, validated
         )
         return report
 
@@ -520,7 +521,7 @@ class ServingEngine:
     def _collect_integrity(
         self,
         injector: Optional[FaultInjector],
-        core: Optional[DispatchCore],
+        events: Sequence,
         requests: Sequence[InferenceRequest],
         results: Sequence[RequestResult],
         validated: Optional[str],
@@ -546,20 +547,17 @@ class ServingEngine:
                 for kind in CORRUPTION_KINDS
                 if kind in injector.injected
             }
-        positions = list(core.corrupted_positions) if core is not None else []
+        _, escalations, corrupted_ids = fold_tallies(events)
+        corrupted = set(corrupted_ids)
+        positions = [
+            p for p, request in enumerate(requests) if request.request_id in corrupted
+        ]
         detected = len(positions)
-        recovered = sum(
-            1 for p in positions if p < len(results) and results[p].status == "ok"
-        )
+        recovered = sum(1 for p in positions if results[p].status == "ok")
         corrected = sum(
             1
             for r in results
             if r.integrity is not None and r.integrity.get("corrected")
-        )
-        tally = (
-            dict(core.corruption_tally)
-            if core is not None
-            else {"escalations": 0, "bypass_retries": 0, "failover_escalations": 0}
         )
         section: Dict = {
             "policy": self.integrity,
@@ -567,7 +565,7 @@ class ServingEngine:
             "detected": detected,
             "corrected": corrected,
             "recovered": recovered,
-            "escalations": tally,
+            "escalations": escalations,
         }
         if validated == "report":
             undetected = sum(1 for r in results if r.status == "corrupted")
@@ -576,9 +574,7 @@ class ServingEngine:
             section["undetected"] = undetected
             section["recall"] = (caught / total) if total else 1.0
             flags = [abft_covered(request) for request in requests]
-            covered_caught = sum(
-                1 for p in positions if p < len(flags) and flags[p]
-            ) + sum(
+            covered_caught = sum(1 for p in positions if flags[p]) + sum(
                 1
                 for i, r in enumerate(results)
                 if flags[i]
@@ -604,11 +600,13 @@ class ServingEngine:
         self,
         injector: Optional[FaultInjector],
         supervisor: WorkerSupervisor,
-        tally: Dict,
+        events: Sequence,
         before: Sequence[Dict[str, int]],
     ) -> Dict:
-        """Fold injector/supervisor/worker state into the report's health
-        record; worker counters are deltas over this serving run."""
+        """Fold the event log and injector/supervisor/worker state into the
+        report's health record; worker counters are deltas over this
+        serving run."""
+        tally = fold_tallies(events)[0]
         workers = {}
         for index, (snapshot, now) in enumerate(
             zip(before, self._backend.health_snapshots())
@@ -617,7 +615,7 @@ class ServingEngine:
         return {
             "retries": tally["retries"],
             "failovers": tally["failovers"],
-            "failed_attempts_by_class": dict(tally["failed_attempts_by_class"]),
+            "failed_attempts_by_class": tally["failed_attempts_by_class"],
             "injected": dict(injector.injected) if injector else {},
             "worker_events": list(supervisor.events),
             "workers": workers,
@@ -662,14 +660,16 @@ class ServingEngine:
         is order- and worker-independent by the reset-to-cold contract.
 
         ``observe=True`` turns on the observability layer
-        (:mod:`repro.obs`): the report gains per-request span trees
+        (:mod:`repro.obs`): workers attach per-launch replay tags to each
+        result, and the report gains per-request span trees
         (``report.spans``, exportable to Perfetto via
-        :func:`repro.obs.export.write_chrome_trace`), a rolling-metrics
+        :func:`repro.obs.export.write_chrome_trace`) and a rolling-metrics
         ``timeline`` (window width ``metrics_interval`` cycles, auto
-        when ``None``), the raw dispatch event log behind
-        :meth:`~repro.eval.serving.ServingReport.events`, and per-launch
-        replay tags on each result.  All of it is host-side bookkeeping:
-        outputs and cycle counts are bit-identical with ``observe=False``.
+        when ``None``), both folded after the run from the dispatch
+        event log every online report carries
+        (:meth:`~repro.eval.serving.ServingReport.events`).  All of it is
+        host-side bookkeeping: outputs and cycle counts are bit-identical
+        with ``observe=False``.
         """
         requests = list(requests)
         self._check_unique_ids(requests)
@@ -681,28 +681,28 @@ class ServingEngine:
         plan = FaultPlan.coerce(faults)
         injector = FaultInjector(plan, fault_seed) if plan else None
         supervisor = WorkerSupervisor(self.pool_size)
-        recorder: NullRecorder = NULL_RECORDER
-        if observe:
-            recorder = SpanRecorder()
-            supervisor.recorder = recorder
         backend = self._get_backend()
         before = backend.health_snapshots()
         replay_before = backend.replay_stats()
         core = DispatchCore(
             backend, clock=CYCLE_CLOCK, admission=self.admission,
             injector=injector, retry=retry, supervisor=supervisor,
-            queue_capacity=queue_capacity, recorder=recorder,
+            queue_capacity=queue_capacity, observe=observe,
         )
         start = time.perf_counter()
         results = core.run(requests)
         wall = time.perf_counter() - start
+        # spans carry the loop's statuses: fold before validation re-labels
+        spans = None
+        if observe:
+            spans = build_spans(core.events, results, supervisor.events)
 
         verified: Optional[bool] = None
         validated = self._validate_mode(verify)
         if validated is not None:
             verified = self._verify_outputs(requests, results, validate=validated)
 
-        health = self._collect_health(injector, supervisor, core.tally, before)
+        health = self._collect_health(injector, supervisor, core.events, before)
         report = build_serving_report(
             results, self.pool_size, self.processes, self.policy, wall, verified,
             mode="online", traffic=spec.describe() if spec else "replay",
@@ -715,10 +715,10 @@ class ServingEngine:
         report.replay = self._replay_delta(replay_before)
         report.autotune = self._autotune_report()
         report.integrity = self._collect_integrity(
-            injector, core, requests, results, validated
+            injector, core.events, requests, results, validated
         )
         if observe:
-            report.spans = recorder
+            report.spans = spans
             report.timeline = build_timeline(
                 results, core.events, self.pool_size,
                 interval_cycles=metrics_interval,

@@ -16,8 +16,8 @@ a deterministic way to rehearse all of it.  This module provides:
   answers instead of loud failures; detection is the integrity layer's
   job (:mod:`repro.integrity`) and their seeded draws live on salted
   streams so they never perturb the legacy clauses' decisions;
-* a **seeded injector** (:class:`FaultInjector`) that decides, at the
-  :class:`~repro.serve.worker.SystemWorker` boundary, whether a given
+* a **seeded injector** (:class:`FaultInjector`) that the dispatch core
+  asks, before each attempt runs, whether a given
   ``(request, attempt)`` is killed, transiently failed, slowed, or lands
   on a crashing worker.  Decisions hash ``(fault seed, request id,
   attempt)`` so they are order-independent and bit-reproducible: two
@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.integrity.inject import CORRUPTION_KINDS, SITE_SALTS, CorruptionDirective
-from repro.obs.spans import NULL_RECORDER
 
 #: Availability fault kinds (the original grammar).  The data-corruption
 #: kinds (``flip``/``dma_corrupt``/``vrf_flip``/``stuck_line``) come from
@@ -266,7 +265,7 @@ class FaultPlan:
 
 
 class FaultInjector:
-    """Deterministically injects a :class:`FaultPlan` at the worker boundary.
+    """Deterministically injects a :class:`FaultPlan` before each attempt.
 
     Stochastic clauses draw from an RNG seeded with ``(seed, request_id,
     attempt)`` — the draw depends only on the request and attempt number,
@@ -464,15 +463,12 @@ class WorkerSupervisor:
         self.threshold = threshold
         self.quarantine_for = quarantine_for
         self.health = [WorkerHealth() for _ in range(n_workers)]
-        #: chronological health events (JSON-clean dicts)
+        #: chronological health events (JSON-clean dicts); observed runs
+        #: also turn them into span instants
         self.events: List[Dict] = []
-        #: observability hook: health transitions mirror to this recorder
-        #: as instant events (the engine swaps in a live SpanRecorder)
-        self.recorder = NULL_RECORDER
 
     def _log(self, cycle: int, worker: int, event: str) -> None:
         self.events.append({"cycle": int(cycle), "worker": worker, "event": event})
-        self.recorder.instant(event, cycle, worker=worker)
 
     def tick(self, cycle: int) -> None:
         """Advance quarantine countdowns by one dispatch decision."""

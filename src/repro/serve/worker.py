@@ -9,14 +9,14 @@ long-lived worker bit-exact with single-shot runs — and what keeps the
 bump allocator from exhausting the matrix heap after a handful of
 requests, the lifecycle bug this engine exists to exercise.
 
-The worker is also the **fault boundary**: a
-:class:`~repro.serve.faults.FaultInjector` passed to :meth:`run` decides
-each attempt's fate *before* the kernel executes (so injected failures
-never perturb the simulated machine — a later retry is bit-exact with a
-fault-free run), and every failure path funnels through
-:meth:`_recover`, which counts recoveries (``reset_heap`` sufficed) vs
-rebuilds (fresh system) and keeps the swallowed reset diagnostic for the
-failure record instead of silently discarding it.
+The worker is also the **fault boundary**: the dispatch core decides
+each attempt's fate *before* the kernel executes and mirrors injected
+failures here through :meth:`apply_injected` (so they never perturb the
+simulated machine — a later retry is bit-exact with a fault-free run),
+and every failure path funnels through :meth:`_recover`, which counts
+recoveries (``reset_heap`` sufficed) vs rebuilds (fresh system) and
+keeps the swallowed reset diagnostic for the failure record instead of
+silently discarding it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.integrity.inject import CorruptionDirective
 from repro.runtime.phases import PhaseBreakdown
 from repro.runtime.replay import ReplayDivergence
 from repro.serve.faults import (
-    FaultInjector,
     RequestRejected,
     ServingError,
     SilentCorruptionError,
@@ -96,7 +95,6 @@ class SystemWorker:
         self,
         request: InferenceRequest,
         attempt: int = 1,
-        injector: Optional[FaultInjector] = None,
         observe: bool = False,
         slow_factor: float = 1.0,
         directives: Sequence[CorruptionDirective] = (),
@@ -114,31 +112,14 @@ class SystemWorker:
         pure host-side reads of scheduler/replay state, so the simulated
         machine and its cycle counts are untouched.
 
-        ``slow_factor`` lets a caller that already drew the fault decision
-        (the dispatch core injects in the core, not at the worker) apply an
-        injected latency spike; a local ``injector`` overrides it.  The
-        same caller hands parent-drawn corruption ``directives`` for this
-        attempt; ``bypass_fastpath`` suspends the replay fast path for the
-        attempt (corruption-escalation retries distrust cached recordings).
+        ``slow_factor`` applies an injected latency spike the dispatch
+        core already drew; ``directives`` are the core's corruption draws
+        for this attempt; ``bypass_fastpath`` suspends the replay fast
+        path for the attempt (corruption-escalation retries distrust
+        cached recordings).
         """
         start = time.perf_counter()
         self.last_recovery = None
-        if injector is not None:
-            try:
-                slow_factor = injector.before_attempt(request, attempt, self.index)
-            except WorkerCrashError:
-                # the simulated hardware died: all state is lost
-                self.failures += 1
-                self.rebuild()
-                self.last_recovery = {"via": "rebuild", "error": None}
-                raise
-            except ServingError:
-                # injected pre-execution fault: the system never ran, so
-                # it is still clean — no recovery needed
-                self.failures += 1
-                raise
-            if not directives:
-                directives = injector.corruption_for(request, attempt, self.index)
         cache = self.system.llc.runtime.replay_cache if observe else None
         launch_log: Optional[List[Tuple[int, str]]] = None
         if cache is not None:
@@ -262,9 +243,8 @@ class SystemWorker:
 
         The dispatch core draws fault decisions centrally (so serial and
         multi-process runs make identical decisions in identical order)
-        and calls this on the owning backend — reproducing exactly what
-        :meth:`run` does when its own ``injector`` raises: the attempt
-        never executes, the system stays clean, a crash loses all state.
+        and calls this on the owning backend: the attempt never executes,
+        so the system stays clean, but a crash loses all state.
         """
         self.last_recovery = None
         self.failures += 1

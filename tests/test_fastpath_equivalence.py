@@ -38,14 +38,6 @@ CFG = ArcaneConfig(n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8, main_memory_kib
 SLOW = CFG.with_fastpath(False)
 
 
-@pytest.fixture(autouse=True)
-def _fastpath_available(monkeypatch):
-    """These tests compare the fast path against the slow path, so an
-    ambient ``ARCANE_NO_FASTPATH=1`` (useful for sweeping the rest of the
-    suite in slow mode) must not leak in."""
-    monkeypatch.delenv("ARCANE_NO_FASTPATH", raising=False)
-
-
 def assert_reports_equal(fast, slow, label=""):
     assert fast.total_cycles == slow.total_cycles, f"{label}: total_cycles differ"
     assert fast.host_cycles == slow.host_cycles, f"{label}: host_cycles differ"
@@ -408,16 +400,6 @@ class TestDestReadingKernels:
 
 
 class TestFastpathSwitches:
-    def test_env_var_disables_fastpath(self, monkeypatch):
-        monkeypatch.setenv("ARCANE_NO_FASTPATH", "1")
-        system = ArcaneSystem(CFG)
-        assert system.llc.runtime.replay_cache is None
-
-    def test_constructor_flag_disables_fastpath(self):
-        assert ArcaneSystem(CFG, fastpath=False).llc.runtime.replay_cache is None
-        assert ArcaneSystem(SLOW).llc.runtime.replay_cache is None
-        assert ArcaneSystem(CFG).llc.runtime.replay_cache is not None
-
     def test_tracing_disables_fastpath(self):
         assert ArcaneSystem(CFG, trace=True).llc.runtime.replay_cache is None
 

@@ -7,16 +7,18 @@ import pytest
 
 from repro.core.config import ArcaneConfig
 from repro.serve import (
+    DispatchCore,
     FaultInjector,
     FaultPlan,
     GraphNode,
-    OnlineDispatcher,
     RequestRejected,
     RetryPolicy,
+    SerialPool,
     ServingEngine,
     SystemWorker,
     WorkerSupervisor,
     expected_output,
+    fold_tallies,
     gemm_request,
     kernel_request,
     stamp_arrivals,
@@ -394,18 +396,18 @@ class TestOnlineFaults:
     def test_online_fail_retry_events_interleave(self, rng):
         workers = [SystemWorker(i, CFG) for i in range(2)]
         plan = FaultPlan.parse("kill:0.3")
-        dispatcher = OnlineDispatcher(
-            workers, injector=FaultInjector(plan, seed=1),
+        core = DispatchCore(
+            SerialPool(workers), injector=FaultInjector(plan, seed=1),
             supervisor=WorkerSupervisor(2),
         )
         requests = stamp_arrivals(
             gemm_batch(rng, 12), TrafficSpec.parse("uniform:100:2000"), seed=3)
-        results = dispatcher.run(requests)
-        kinds = {e.kind for e in dispatcher.events}
+        results = core.run(requests)
+        kinds = {e.kind for e in core.events}
         assert {"arrival", "dispatch", "completion", "fail", "retry"} <= kinds
-        assert dispatcher.tally["retries"] == sum(
+        assert fold_tallies(core.events)[0]["retries"] == sum(
             r.attempts - 1 for r in results)
-        fails = [e for e in dispatcher.events if e.kind == "fail"]
+        fails = [e for e in core.events if e.kind == "fail"]
         assert all(e.worker is not None for e in fails)
 
     def test_quarantine_skip_probation_reinstate(self, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem.bus import BusModel
 from repro.mem.dma import Dma2D, DmaRequest
-from repro.mem.memory import MainMemory, MemoryError
+from repro.mem.memory import MainMemory, MainMemoryError
 from repro.sim.kernel import Simulator
 
 
@@ -29,14 +29,14 @@ class TestMainMemory:
         memory = MainMemory(256, base=0x1000)
         memory.write_u32(0x1000, 7)
         assert memory.read_u32(0x1000) == 7
-        with pytest.raises(MemoryError):
+        with pytest.raises(MainMemoryError):
             memory.read_u8(0xFFF)
 
     def test_bounds_checked(self):
         memory = MainMemory(16)
-        with pytest.raises(MemoryError):
+        with pytest.raises(MainMemoryError):
             memory.read_u32(14)
-        with pytest.raises(MemoryError):
+        with pytest.raises(MainMemoryError):
             memory.write_block(8, b"123456789")
 
     def test_contains(self):

@@ -15,10 +15,10 @@ import pytest
 
 from repro.core.config import ArcaneConfig
 from repro.obs import (
-    NULL_RECORDER,
     RollingMetrics,
     SpanRecorder,
     auto_interval,
+    build_spans,
     build_timeline,
     chrome_trace,
     render_timeline,
@@ -100,12 +100,6 @@ class TestSpanRecorder:
         assert len(rec.find(worker=1)) == 2
         assert len(rec.find("launch", worker=1)) == 1
 
-    def test_null_recorder_is_inert(self):
-        span = NULL_RECORDER.begin("x", "anything-goes", 5)
-        NULL_RECORDER.end(span, 1)  # no validation, no storage
-        NULL_RECORDER.instant("y", 2)
-        assert NULL_RECORDER.enabled is False
-
 
 # -- rolling metrics unit behavior -------------------------------------------
 
@@ -164,18 +158,19 @@ class TestRollingMetrics:
 # -- supervisor health instants ----------------------------------------------
 
 
-class TestSupervisorRecorder:
-    def test_health_transitions_mirror_to_recorder(self):
+class TestHealthInstants:
+    def test_health_transitions_become_instants(self):
         supervisor = WorkerSupervisor(2, threshold=2, quarantine_for=1)
-        recorder = SpanRecorder()
-        supervisor.recorder = recorder
         error = ServingError("boom")
         supervisor.record_failure(0, 10, error)
         supervisor.record_failure(0, 20, error)  # -> quarantined
         supervisor.tick(30)  # -> probation
         supervisor.record_success(0, 40)  # -> reinstated
+        # no dispatch log: no fail event asks for a rebuilt instant
+        recorder = build_spans([], [], supervisor.events)
         names = [i.name for i in recorder.instants]
         assert names == ["quarantined", "probation", "reinstated"]
+        assert [i.cycle for i in recorder.instants] == [20, 30, 40]
         assert all(i.attrs["worker"] == 0 for i in recorder.instants)
         # the JSON event log saw the same transitions
         assert [e["event"] for e in supervisor.events] == names

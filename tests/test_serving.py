@@ -12,8 +12,9 @@ from repro.core.config import ArcaneConfig
 from repro.eval.serving import build_serving_report, latency_stats, percentile
 from repro.serve import (
     GraphNode,
+    DispatchCore,
     InferenceRequest,
-    OnlineDispatcher,
+    SerialPool,
     ServingEngine,
     SystemWorker,
     TrafficSpec,
@@ -119,7 +120,7 @@ class TestEngineServing:
 
     def test_long_lived_pool_survives_many_requests(self, rng):
         """The acceptance-criteria scenario, sized for the test suite: one
-        pool, many requests, no MemoryError, no deadlock."""
+        pool, many requests, no heap exhaustion, no deadlock."""
         engine = ServingEngine(pool_size=2, config=CFG)
         report = engine.serve(mixed_requests(rng, 40), verify=True)
         assert report.n_requests == 40
@@ -384,15 +385,15 @@ class TestTrafficEdgeCases:
         probe = worker.run(requests[0])
         service = probe.sim_cycles
         trace = f"trace:0,{service + 1000}"  # second arrival after completion
-        dispatcher = OnlineDispatcher([SystemWorker(0, CFG)])
-        results = dispatcher.run(
+        core = DispatchCore(SerialPool([SystemWorker(0, CFG)]))
+        results = core.run(
             stamp_arrivals(requests, TrafficSpec.parse(trace)))
-        log = [(e.kind, e.request_id) for e in dispatcher.events]
+        log = [(e.kind, e.request_id) for e in core.events]
         assert log == [
             ("arrival", 0), ("dispatch", 0), ("completion", 0),
             ("arrival", 1), ("dispatch", 1), ("completion", 1),
         ]
-        cycles = [e.cycle for e in dispatcher.events]
+        cycles = [e.cycle for e in core.events]
         assert cycles == sorted(cycles)
         assert results[0].completion_cycle == service
         assert results[1].start_cycle == service + 1000
@@ -519,15 +520,15 @@ class TestOnlineServing:
                                        traffic="poisson:25", seed=7)
         del requests  # report unused; inspect the dispatcher via a fresh run
         workers = [SystemWorker(i, CFG) for i in range(2)]
-        dispatcher = OnlineDispatcher(workers)
+        core = DispatchCore(SerialPool(workers))
         stamped = stamp_arrivals(mixed_requests(rng, 6),
                                  TrafficSpec.parse("poisson:25"), seed=7)
-        dispatcher.run(stamped)
-        cycles = [event.cycle for event in dispatcher.events]
+        core.run(stamped)
+        cycles = [event.cycle for event in core.events]
         assert cycles == sorted(cycles)
-        kinds = {event.kind for event in dispatcher.events}
+        kinds = {event.kind for event in core.events}
         assert kinds == {"arrival", "dispatch", "completion"}
-        assert dispatcher.makespan_cycles == max(dispatcher.free_at)
+        assert core.makespan_cycles == max(core.free_at)
 
 
 class TestParallelReassembly:

@@ -1,7 +1,7 @@
 """The slow kernel path pinned to reference results.
 
 Every scenario here runs with the replay fast path off
-(``ARCANE_NO_FASTPATH=1``), so each launch executes its kernel body
+(``fastpath=False`` in both configs), so each launch executes its kernel body
 through :class:`~repro.runtime.context.KernelContext`.  The reference
 file ``data/slowpath_reference.json`` holds, per run, the total and host
 cycles, the phase breakdowns, ``RunReport.stats`` and a digest of the
@@ -62,9 +62,12 @@ from repro.sim.kernel import Process
 
 REFERENCE_PATH = pathlib.Path(__file__).parent / "data" / "slowpath_reference.json"
 
-CFG = ArcaneConfig(n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8, main_memory_kib=512)
+CFG = ArcaneConfig(
+    n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8, main_memory_kib=512,
+    fastpath=False,
+)
 #: the paper's machine (4 VPUs x 8 lanes) in multi-instance mode
-PAPER_MULTI = ArcaneConfig().with_lanes(8).with_multi_vpu(True)
+PAPER_MULTI = ArcaneConfig(fastpath=False).with_lanes(8).with_multi_vpu(True)
 
 
 def digest(array) -> str:
@@ -383,14 +386,13 @@ def reference() -> dict:
     return json.loads(REFERENCE_PATH.read_text())
 
 
-@pytest.fixture(autouse=True)
-def _slow_path(monkeypatch):
-    monkeypatch.setenv("ARCANE_NO_FASTPATH", "1")
-
-
 class TestSlowPathReference:
     def test_reference_covers_every_scenario(self, reference):
         assert sorted(reference) == sorted(SCENARIOS)
+
+    def test_configs_disable_the_fast_path(self):
+        for config in (CFG, PAPER_MULTI):
+            assert ArcaneSystem(config).llc.runtime.replay_cache is None
 
     @pytest.mark.parametrize("kernel", sorted(MID_KERNEL))
     def test_mid_kernel_host_accesses_stall_on_the_lock(self, reference, kernel):

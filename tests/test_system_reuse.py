@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines.reference import ref_conv_layer, ref_leaky_relu
 from repro.core.config import ArcaneConfig
-from repro.core.system import ArcaneSystem
+from repro.core.system import ArcaneSystem, HeapExhaustedError
 
 CFG = ArcaneConfig(n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8, main_memory_kib=192)
 
@@ -39,7 +39,7 @@ class TestBackToBackPrograms:
             system.reset_heap()
 
     def test_heap_does_not_grow_across_resets(self, rng):
-        """The old bump-only allocator leaked until MemoryError; with resets
+        """The old bump-only allocator leaked until the heap ran out; with resets
         a small memory map survives far more programs than it could hold."""
         x, f = conv_operands(rng)
         system = ArcaneSystem(CFG)
@@ -51,12 +51,14 @@ class TestBackToBackPrograms:
         }
 
     def test_exhaustion_without_reset_still_raises(self, rng):
-        """No silent wrap-around: a leaking caller still gets MemoryError,
-        now with a hint at the reclamation API."""
+        """No silent wrap-around: a leaking caller still gets
+        HeapExhaustedError (not the builtin MemoryError, which means the
+        host ran out), with a hint at the reclamation API."""
         system = ArcaneSystem(CFG)
-        with pytest.raises(MemoryError, match="reset_heap"):
+        with pytest.raises(HeapExhaustedError, match="reset_heap") as caught:
             for _ in range(10_000):
                 system.alloc_matrix((16, 16), np.int32)
+        assert not isinstance(caught.value, MemoryError)
 
     def test_per_run_breakdown_isolated(self, rng):
         """Each report covers only its own kernels, run after run."""
