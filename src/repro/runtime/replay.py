@@ -65,8 +65,9 @@ at full speed.  What *does* invalidate recordings:
   digest (all part of the key — a miss, not a wrong replay);
 * an environment the timeline model cannot promise to reproduce (LLC
   lock held or host access in flight at launch, a different VRF
-  free-list state, multi-VPU sharding, tracing) — the launch silently
-  takes the slow path ("bypassed").
+  free-list state, an armed ``dma_corrupt``/``vrf_flip`` hook, multi-VPU
+  sharding, tracing) — the launch silently takes the slow path
+  ("bypassed").
 
 Kernel bodies interact with the machinery only through the closed
 :class:`KernelContext` API; a body that mutated simulator state behind
@@ -799,11 +800,18 @@ class ReplayCache:
 
         The closed-form timeline assumes the body is the only LLC-lock /
         host-path actor for its duration and that register claims pop the
-        same VRF free list; anything else takes the slow path.
+        same VRF free list, and no mid-kernel corruption hook may be armed;
+        anything else takes the slow path.
         """
         if not recording.replayable or recording.vpu_index != vpu_index:
             return False
         controller = scheduler.controller
         if controller.lock_holder is not None or controller._host_inflight > 0:
             return False
-        return scheduler.allocator._free[vpu_index] == recording.free_regs
+        allocator = scheduler.allocator
+        if allocator.corruption is not None \
+                or allocator.vpus[vpu_index].vrf.corruption is not None:
+            # an armed dma_corrupt/vrf_flip hook counts rows and register
+            # writes as the body runs; only the slow path produces them
+            return False
+        return allocator._free[vpu_index] == recording.free_regs
