@@ -155,10 +155,6 @@ class Recipe:
         """JSON-clean nested-list form (for embedding in larger records)."""
         return [list(step) for step in self.steps]
 
-    @classmethod
-    def from_steps(cls, steps: Iterable) -> "Recipe":
-        return cls(steps)
-
     def to_json(self) -> str:
         return json.dumps(self.as_steps())
 

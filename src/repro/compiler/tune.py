@@ -185,10 +185,6 @@ class TuneResult:
     from_cache: bool = False
 
     @property
-    def improved(self) -> bool:
-        return self.best_cycles < self.default_cycles
-
-    @property
     def speedup(self) -> float:
         return self.default_cycles / self.best_cycles if self.best_cycles else 1.0
 

@@ -12,7 +12,7 @@ visible (and sweepable) in one place; their provenance is documented in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,6 @@ class ArcaneConfig:
     @property
     def vregs_per_vpu(self) -> int:
         return self.vpu_kib * 1024 // self.line_bytes
-
-    @property
-    def cache_lines(self) -> int:
-        """Total LLC lines == aggregate vector register capacity (III-A.1)."""
-        return self.n_vpus * self.vregs_per_vpu
 
     @property
     def llc_kib(self) -> int:

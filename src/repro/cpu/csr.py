@@ -69,8 +69,3 @@ class CsrFile:
 
     def clear_external_interrupt(self) -> None:
         self.clear_bits(MIP, 1 << MIP_MEIP_BIT)
-
-    @property
-    def external_interrupt_pending(self) -> bool:
-        pending = self.read(MIP) & self.read(MIE)
-        return bool(pending >> MIP_MEIP_BIT & 1)

@@ -15,8 +15,8 @@ narrow hooks:
   operands, flipped right after the launch is scheduled (and before the
   replay key is computed, so a corrupt operand keys its own recording
   rather than poisoning the clean one);
-* ``dma_corrupt`` — one bit in one row payload moved by the allocator's
-  lock-protected DMA transfers (loads *and* write-backs);
+* ``dma_corrupt`` — one bit in one operand row payload moved by the
+  :class:`~repro.mem.dma.Dma2D` engine (loads *and* write-backs);
 * ``vrf_flip``    — one bit in the values of one VPU register-file
   write;
 * ``stuck_line``  — a cache line freezes: reads return a byte snapshot
@@ -107,7 +107,7 @@ class CorruptionSurface:
                 self._dma_target = directive.site % DMA_EVENT_MODULO
                 self._dma_bit = directive.value
                 self._dma_count = 0
-                runtime.allocator.corruption = self
+                runtime.allocator.dma.corruption = self
             elif directive.kind == "vrf_flip":
                 self._vrf_target = directive.site % VRF_EVENT_MODULO
                 self._vrf_bit = directive.value
@@ -124,7 +124,7 @@ class CorruptionSurface:
         worker rebuild installs fresh silicon."""
         runtime = self.llc.runtime
         runtime.scheduler.corruption = None
-        runtime.allocator.corruption = None
+        runtime.allocator.dma.corruption = None
         for vpu in self.llc.vpus:
             vpu.vrf.corruption = None
         self._flip = None
@@ -219,9 +219,3 @@ class CorruptionSurface:
         if line.stuck is None:
             line.stuck = line.data.copy()
             self.events.append({"kind": "stuck_line", "line": line.index})
-
-    def stuck_lines(self) -> List[int]:
-        """Indices of currently stuck lines (diagnostics and tests)."""
-        return [
-            line.index for line in self.llc.cache_table.lines if line.stuck is not None
-        ]

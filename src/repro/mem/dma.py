@@ -1,141 +1,118 @@
-"""X-HEEP-style DMA engine with 2D (strided) transaction support.
+"""The 2D DMA engine that prices and moves every kernel operand row.
 
-Paper section III-A.4: during kernel allocation the eCPU programs 2D DMA
-transfers that move operands from main memory into the selected VPU in
-the required matrix layout; during write-back it consolidates scattered
-matrix-shaped data back into a contiguous array.  The DMA is routed
-*through* the LLC controller, which serves each row from the cache on a
-hit or from external memory on a miss.
+Paper sections III-A.4 and IV-B.3: the Matrix Allocator moves operands
+between memory and the VPU register files with lock-protected 2D DMA
+transfers, routed *through* the LLC controller, which serves each row
+from the cache on a hit or from external memory on a miss.  Every
+operand row — the allocator's loads and write-backs and the replay
+cache's re-executed rows — goes through :class:`Dma2D`; line refills and
+write-backs of the address-mapped cache stay in the controller.
 
-The engine is decoupled from concrete memories: a request carries reader/
-writer callables, so the same engine moves bytes between main memory,
-cache lines and VPU register files.  Functionally the transfer happens
-atomically per row; timing comes from :class:`~repro.mem.bus.BusModel`.
+A transfer is a list of rows, each a tuple ``(address, n_bytes, vrf,
+register, etype, offset)``: ``n_bytes`` at ``address`` in the memory
+system against register ``register`` of ``vrf``, starting at element
+``offset`` in element type ``etype``.  Per row, in order:
+
+* the cost is ``bus.transfer_cycles(n_bytes, offchip=...)``, off-chip
+  unless the line holding the row's first byte is resident — decided
+  before the row moves;
+* a load reads through ``route_read``, or slices main memory directly
+  when no valid line overlays the row; a store writes through
+  ``route_write`` (fetch-on-write);
+* the fault-injection hook, when armed, sees the row payload.
+
+The allocator's timed form (:meth:`Dma2D.transfer_process`) yields once
+per row, so a host access unblocked mid-transfer observes exactly the
+rows already moved; replay applies a whole transfer at once
+(:meth:`Dma2D.transfer`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Generator, Iterator, Sequence
+
+import numpy as np
 
 from repro.mem.bus import BusModel
-from repro.sim.kernel import Simulator
-from repro.sim.stats import StatsRegistry
-
-Reader = Callable[[int, int], bytes]
-Writer = Callable[[int, bytes], None]
-
-
-@dataclass
-class DmaRequest:
-    """One 2D DMA transaction.
-
-    ``rows`` rows of ``row_bytes`` are copied; after each row the source
-    and destination addresses advance by their respective strides (in
-    bytes).  A contiguous 1D copy is the special case
-    ``rows=1, row_bytes=total``.
-    """
-
-    src_addr: int
-    dst_addr: int
-    row_bytes: int
-    rows: int
-    src_stride: int = 0  # bytes between consecutive source rows (0 = contiguous)
-    dst_stride: int = 0  # bytes between consecutive destination rows
-    read: Optional[Reader] = None
-    write: Optional[Writer] = None
-    offchip: bool = False  # whether rows touch external memory (adds latency)
-    label: str = ""
-    row_hook: Optional[Callable[[int, int, int], None]] = field(default=None, repr=False)
-    # row_hook(row_index, src_row_addr, dst_row_addr) lets the LLC controller
-    # update cache-line status per row, as the paper's controller does on
-    # receiving a DMA request.
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.row_bytes < 0:
-            raise ValueError("rows and row_bytes must be non-negative")
-        if self.src_stride < 0 or self.dst_stride < 0:
-            raise ValueError(
-                f"DMA strides must be non-negative, got src_stride="
-                f"{self.src_stride}, dst_stride={self.dst_stride}"
-            )
-        if self.src_stride == 0:
-            self.src_stride = self.row_bytes
-        if self.dst_stride == 0:
-            self.dst_stride = self.row_bytes
-
-    @property
-    def empty(self) -> bool:
-        """True when the transfer moves no bytes (zero rows or zero-byte rows)."""
-        return self.rows == 0 or self.row_bytes == 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.rows * self.row_bytes
 
 
 class Dma2D:
-    """The DMA engine: functional copy plus cycle-accurate process form."""
+    """Moves operand rows between the memory system and VPU registers."""
 
-    def __init__(self, bus: BusModel, stats: Optional[StatsRegistry] = None) -> None:
+    def __init__(self, controller, bus: BusModel) -> None:
+        self.controller = controller
         self.bus = bus
-        self.stats = stats or StatsRegistry()
-        # counter handles resolved once (transfers run per kernel operand row)
-        self._c_transfers = self.stats.counter("dma.transfers")
-        self._c_bytes = self.stats.counter("dma.bytes")
-        self._c_cycles = self.stats.counter("dma.cycles")
         # Fault-injection hook (repro.integrity.inject): when armed it may
         # return a corrupted copy of a row payload in flight.  None when no
         # fault plan is armed — the hot path pays one attribute check.
         self.corruption = None
 
-    def _copy_row(self, request: DmaRequest, row: int) -> None:
-        src = request.src_addr + row * request.src_stride
-        dst = request.dst_addr + row * request.dst_stride
-        if request.row_hook is not None:
-            request.row_hook(row, src, dst)
-        payload = request.read(src, request.row_bytes)
-        if len(payload) != request.row_bytes:
-            raise RuntimeError(
-                f"DMA read returned {len(payload)} bytes, expected {request.row_bytes}"
-            )
-        if self.corruption is not None:
-            payload = self.corruption.on_dma_row(payload)
-        request.write(dst, payload)
+    def transfer(self, rows: Sequence[tuple], store: bool = False) -> int:
+        """Move every row at once; return the total cycle cost."""
+        return sum(self._move(rows, store))
 
-    def transfer(self, request: DmaRequest) -> int:
-        """Execute the whole transfer immediately; return its cycle cost."""
-        if request.empty:
-            return 0
-        for row in range(request.rows):
-            self._copy_row(request, row)
-        cycles = self.cycles(request)
-        self._c_transfers.add()
-        self._c_bytes.add(request.total_bytes)
-        self._c_cycles.add(cycles)
-        return cycles
+    def transfer_process(self, rows: Sequence[tuple], store: bool = False) -> Generator:
+        """Simulation process: move row by row, yielding each row's cycles.
 
-    def cycles(self, request: DmaRequest) -> int:
-        """Cycle cost of a transfer without executing it."""
-        return self.bus.transfer_2d_cycles(
-            request.row_bytes, request.rows, offchip=request.offchip
-        )
-
-    def transfer_process(self, sim: Simulator, request: DmaRequest) -> Generator:
-        """Event-simulation process: copies row by row, advancing time per row.
-
-        Copying row-by-row (instead of all-at-once followed by one big
-        wait) matters for correctness of the hazard model: a host access
-        that unblocks halfway through an allocation must observe the rows
-        already copied and not the ones still pending.
+        Returns the total cycle cost.
         """
-        if request.empty:
-            return 0
-        per_row = self.bus.transfer_cycles(request.row_bytes, offchip=request.offchip)
-        for row in range(request.rows):
-            self._copy_row(request, row)
-            yield per_row
-        self._c_transfers.add()
-        self._c_bytes.add(request.total_bytes)
-        self._c_cycles.add(per_row * request.rows)
-        return per_row * request.rows
+        total = 0
+        for cycles in self._move(rows, store):
+            total += cycles
+            yield cycles
+        return total
+
+    def _move(self, rows: Sequence[tuple], store: bool) -> Iterator[int]:
+        """Move each row in order; yield its cycles after it moved."""
+        controller = self.controller
+        ct = controller.ct
+        cost = self.bus.transfer_cycles
+        corruption = self.corruption
+        if store:
+            lookup = ct.lookup
+            route_write = controller.route_write
+            for address, n_bytes, vrf, register, etype, offset in rows:
+                cycles = cost(n_bytes, offchip=lookup(address) is None)
+                payload = vrf.view(register, etype)[
+                    offset : offset + n_bytes // etype.nbytes
+                ].tobytes()
+                if corruption is not None:
+                    payload = corruption.on_dma_row(payload)
+                route_write(address, payload)
+                yield cycles
+            return
+        route_read = controller.route_read
+        tag_map = ct._tag_map
+        line_bytes = ct.line_bytes
+        memory = controller.memory
+        mem_data = memory.data
+        mem_base = memory.base
+        mem_end = mem_base + memory.size
+        frombuffer = np.frombuffer
+        for address, n_bytes, vrf, register, etype, offset in rows:
+            end = address + n_bytes
+            # the walk over the lines the row overlays starts at the first
+            # byte's line, whose residency prices the row (ct.lookup)
+            tag = address - address % line_bytes
+            line = tag_map.get(tag)
+            overlaid = line is not None and line.valid
+            cycles = cost(n_bytes, offchip=not overlaid)
+            tag += line_bytes
+            while not overlaid and tag < end:
+                line = tag_map.get(tag)
+                overlaid = line is not None and line.valid
+                tag += line_bytes
+            # any valid line overlaying the row forces the routed read;
+            # otherwise the row is copied straight out of main memory
+            if not overlaid and address >= mem_base and end <= mem_end:
+                values = mem_data[address - mem_base : end - mem_base].view(
+                    etype.np_dtype
+                )
+            else:
+                values = frombuffer(route_read(address, n_bytes), dtype=etype.np_dtype)
+            if corruption is not None:
+                values = frombuffer(
+                    corruption.on_dma_row(values.tobytes()), dtype=etype.np_dtype
+                )
+            vrf.write(register, values, offset)
+            yield cycles

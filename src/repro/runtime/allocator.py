@@ -1,7 +1,8 @@
 """The Matrix Allocator (paper IV-B.3).
 
 Moves matrix operands between the memory system and VPU vector registers
-using lock-protected 2D DMA transfers routed through the LLC controller:
+using lock-protected 2D DMA transfers through the
+:class:`~repro.mem.dma.Dma2D` engine, routed through the LLC controller:
 
 * ``load_rows`` copies matrix rows into consecutive vector registers of
   the selected VPU — the "temporary copies in the VPU cache lines
@@ -22,10 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Sequence
 
-import numpy as np
-
 from repro.cache.controller import LlcController
 from repro.mem.bus import BusModel
+from repro.mem.dma import Dma2D
 from repro.runtime.matrix import MatrixBinding
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
@@ -61,14 +61,15 @@ class MatrixAllocator:
         self.sim = sim
         self.controller = controller
         self.vpus = list(vpus)
-        self.bus = bus
+        #: the engine every operand row moves through
+        self.dma = Dma2D(controller, bus)
         self.stats = stats or StatsRegistry()
         self.lock_overhead_cycles = lock_overhead_cycles
         ct = controller.ct
         self._free: Dict[int, List[int]] = {
             v: list(range(ct.vregs_per_vpu)) for v in range(ct.n_vpus)
         }
-        # counter handles resolved once: these run per operand row moved
+        # counter handles resolved once: these run per operand transfer
         self._c_rows_loaded = self.stats.counter("alloc.rows_loaded")
         self._c_load_cycles = self.stats.counter("alloc.load_cycles")
         self._c_rows_stored = self.stats.counter("alloc.rows_stored")
@@ -76,11 +77,6 @@ class MatrixAllocator:
         self._c_regs_claimed = self.stats.counter("alloc.regs_claimed")
         self._c_regs_released = self.stats.counter("alloc.regs_released")
         self._c_evicted_dirty = self.stats.counter("alloc.evicted_dirty")
-        # Fault-injection hook (repro.integrity.inject): when armed it may
-        # return a corrupted copy of a row payload moved by the allocator's
-        # DMA transfers.  None when no fault plan is armed, so the per-row
-        # hot path pays one attribute check.
-        self.corruption = None
 
     # -- vector register management ------------------------------------------
 
@@ -120,13 +116,26 @@ class MatrixAllocator:
         self._c_regs_released.add(len(window.vregs))
         window.vregs = []
 
-    # -- locking --------------------------------------------------------------
+    # -- data movement ------------------------------------------------------------
 
-    def _locked_section(self) -> Generator:
+    def _locked_transfer(self, rows: List[tuple], store: bool = False) -> Generator:
+        """Move ``rows`` through the DMA engine under the LLC lock.
+
+        Returns the total DMA cycles; each row's cycles are also yielded.
+        """
         yield from self.controller.acquire_lock("ecpu")
         yield self.lock_overhead_cycles
-
-    # -- data movement ------------------------------------------------------------
+        try:
+            total = yield from self.dma.transfer_process(rows, store)
+        finally:
+            self.controller.release_lock("ecpu")
+        if store:
+            self._c_rows_stored.add(len(rows))
+            self._c_store_cycles.add(total)
+        else:
+            self._c_rows_loaded.add(len(rows))
+            self._c_load_cycles.add(total)
+        return total
 
     def load_rows(
         self,
@@ -146,27 +155,13 @@ class MatrixAllocator:
         """
         if n_rows == 0:
             return 0
-        yield from self._locked_section()
-        vpu = self.vpus[window.vpu_index]
-        total = 0
-        try:
-            for i in range(n_rows):
-                address = matrix.row_address(row_start + i)
-                cached = self.controller.ct.lookup(address) is not None
-                cycles = self.bus.transfer_cycles(matrix.row_bytes, offchip=not cached)
-                payload = self.controller.route_read(address, matrix.row_bytes)
-                if self.corruption is not None:
-                    payload = self.corruption.on_dma_row(payload)
-                register = window[reg_start + i]
-                row = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
-                vpu.vrf.write(register, row)
-                total += cycles
-                yield cycles
-        finally:
-            self.controller.release_lock("ecpu")
-        self._c_rows_loaded.add(n_rows)
-        self._c_load_cycles.add(total)
-        return total
+        vrf = self.vpus[window.vpu_index].vrf
+        rows = [
+            (matrix.row_address(row_start + i), matrix.row_bytes, vrf,
+             window[reg_start + i], matrix.etype, 0)
+            for i in range(n_rows)
+        ]
+        return (yield from self._locked_transfer(rows))
 
     def load_row_set(self, specs) -> Generator:
         """Load a batch of single rows under one lock acquisition.
@@ -180,25 +175,12 @@ class MatrixAllocator:
         """
         if not specs:
             return 0
-        yield from self._locked_section()
-        total = 0
-        try:
-            for window, matrix, row, reg in specs:
-                address = matrix.row_address(row)
-                cached = self.controller.ct.lookup(address) is not None
-                cycles = self.bus.transfer_cycles(matrix.row_bytes, offchip=not cached)
-                payload = self.controller.route_read(address, matrix.row_bytes)
-                if self.corruption is not None:
-                    payload = self.corruption.on_dma_row(payload)
-                values = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
-                self.vpus[window.vpu_index].vrf.write(window[reg], values)
-                total += cycles
-                yield cycles
-        finally:
-            self.controller.release_lock("ecpu")
-        self._c_rows_loaded.add(len(specs))
-        self._c_load_cycles.add(total)
-        return total
+        rows = [
+            (matrix.row_address(row), matrix.row_bytes,
+             self.vpus[window.vpu_index].vrf, window[reg], matrix.etype, 0)
+            for window, matrix, row, reg in specs
+        ]
+        return (yield from self._locked_transfer(rows))
 
     def load_packed(
         self,
@@ -213,32 +195,19 @@ class MatrixAllocator:
         fetched by the eCPU as a ``.vs`` scalar operand (how the conv
         kernels keep their filter taps resident in one register).
         """
-        vpu = self.vpus[window.vpu_index]
-        if matrix.rows * matrix.cols > vpu.vrf.max_vl(matrix.etype):
+        vrf = self.vpus[window.vpu_index].vrf
+        if matrix.rows * matrix.cols > vrf.max_vl(matrix.etype):
             raise ValueError(
                 f"matrix {matrix.rows}x{matrix.cols} does not fit in one "
-                f"vector register ({vpu.vrf.max_vl(matrix.etype)} elements)"
+                f"vector register ({vrf.max_vl(matrix.etype)} elements)"
             )
-        yield from self._locked_section()
-        total = 0
-        try:
-            register = window[reg_index]
-            for row in range(matrix.rows):
-                address = matrix.row_address(row)
-                cached = self.controller.ct.lookup(address) is not None
-                cycles = self.bus.transfer_cycles(matrix.row_bytes, offchip=not cached)
-                payload = self.controller.route_read(address, matrix.row_bytes)
-                if self.corruption is not None:
-                    payload = self.corruption.on_dma_row(payload)
-                values = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
-                vpu.vrf.write(register, values, offset=row * matrix.cols)
-                total += cycles
-                yield cycles
-        finally:
-            self.controller.release_lock("ecpu")
-        self._c_rows_loaded.add(matrix.rows)
-        self._c_load_cycles.add(total)
-        return total
+        register = window[reg_index]
+        rows = [
+            (matrix.row_address(row), matrix.row_bytes, vrf, register,
+             matrix.etype, row * matrix.cols)
+            for row in range(matrix.rows)
+        ]
+        return (yield from self._locked_transfer(rows))
 
     def store_rows(
         self,
@@ -249,31 +218,19 @@ class MatrixAllocator:
         reg_start: int = 0,
         n_cols: Optional[int] = None,
     ) -> Generator:
-        """Copy registers back into the matrix region (kernel write-back)."""
+        """Copy registers back into the matrix region (kernel write-back).
+
+        Fetch-on-write: the destination lands in the cache; a miss on the
+        covering line pays the fill (paper III-A.4).
+        """
         if n_rows == 0:
             return 0
         n_cols = matrix.cols if n_cols is None else n_cols
         row_bytes = n_cols * matrix.etype.nbytes
-        yield from self._locked_section()
-        vpu = self.vpus[window.vpu_index]
-        total = 0
-        try:
-            for i in range(n_rows):
-                address = matrix.row_address(row_start + i)
-                register = window[reg_start + i]
-                row = vpu.vrf.view(register, matrix.etype)[:n_cols]
-                # Fetch-on-write: destination lands in the cache; a miss on
-                # the covering line pays the fill (paper III-A.4).
-                cached = self.controller.ct.lookup(address) is not None
-                cycles = self.bus.transfer_cycles(row_bytes, offchip=not cached)
-                payload = row.tobytes()
-                if self.corruption is not None:
-                    payload = self.corruption.on_dma_row(payload)
-                self.controller.route_write(address, payload)
-                total += cycles
-                yield cycles
-        finally:
-            self.controller.release_lock("ecpu")
-        self._c_rows_stored.add(n_rows)
-        self._c_store_cycles.add(total)
-        return total
+        vrf = self.vpus[window.vpu_index].vrf
+        rows = [
+            (matrix.row_address(row_start + i), row_bytes, vrf,
+             window[reg_start + i], matrix.etype, 0)
+            for i in range(n_rows)
+        ]
+        return (yield from self._locked_transfer(rows, store=True))

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.cache.address_table import AddressTable
 from repro.cache.controller import LlcController
 from repro.mem.bus import BusModel
 from repro.runtime.allocator import MatrixAllocator
 from repro.runtime.decoder import DecodeCosts, KernelDecoder
 from repro.runtime.kernel_lib import KernelLibrary
 from repro.runtime.matrix import MatrixMap
-from repro.runtime.phases import PhaseBreakdown
 from repro.runtime.queue import KernelQueue, QueuedKernel
 from repro.runtime.replay import ReplayCache
 from repro.runtime.scheduler import KernelScheduler
@@ -156,9 +154,3 @@ class CacheRuntime:
     def breakdowns(self) -> dict:
         """Per-kernel :class:`PhaseBreakdown` by kernel id."""
         return self.scheduler.breakdowns
-
-    def total_breakdown(self) -> PhaseBreakdown:
-        merged = PhaseBreakdown()
-        for breakdown in self.scheduler.breakdowns.values():
-            merged.merge(breakdown)
-        return merged

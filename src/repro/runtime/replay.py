@@ -41,8 +41,9 @@ replay is *assumed* from the recording where live state could differ:
 * functional effects (DMA row reads/writes, vector-op execution, register
   claims) are re-executed against live memory, cache and VRF state
   through the same primitives the slow path uses;
-* per-row DMA cycle costs are *recomputed* from the live cache-hit state
-  of each row, not taken from the recording;
+* DMA rows move through the same :class:`~repro.mem.dma.Dma2D` engine
+  as the slow path, which prices each row from its live cache-hit state,
+  not from the recording;
 * the LLC-lock serialization of loads, stores and double-buffered
   prefetches is replayed with a closed-form timeline (a prefetch holds
   the lock until its last row, later locked sections start no earlier
@@ -97,8 +98,6 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from typing import Dict, Generator, List, Optional, Tuple
-
-import numpy as np
 
 from repro.runtime.context import KernelContext
 from repro.runtime.matrix import MatrixBinding
@@ -450,8 +449,9 @@ def replay_kernel(
     """Simulation process: replay a recorded kernel in one suspension.
 
     Functional effects are applied in LLC-lock acquisition order (exactly
-    the order the event loop serializes them in), cycle costs of DMA rows
-    are recomputed from live cache state, and the whole body advances the
+    the order the event loop serializes them in), DMA rows move through
+    the allocator's :class:`~repro.mem.dma.Dma2D` engine (which prices
+    them from live cache state), and the whole body advances the
     simulator with a single ``yield`` of its total duration.
     """
     allocator = scheduler.allocator
@@ -460,25 +460,13 @@ def replay_kernel(
     vpu_index = context.vpu_index
     vrf = allocator.vpus[vpu_index].vrf
     lock_overhead = allocator.lock_overhead_cycles
-    ct = controller.ct
-    lookup = ct.lookup
-    tag_map = ct._tag_map
-    line_bytes = ct.line_bytes
-    memory = controller.memory
-    mem_data = memory.data
-    mem_base = memory.base
-    mem_end = memory.base + memory.size
-    transfer_cycles = allocator.bus.transfer_cycles
-    route_read = controller.route_read
-    route_write = controller.route_write
-    frombuffer = np.frombuffer
+    transfer = allocator.dma.transfer
 
     t = 0  # body-relative cycle offset
     lock_free = 0  # when the LLC lock is next free (prefetches hold it)
     pending: Dict[int, int] = {}  # prefetch ordinal -> completion offset
     compute = alloc_cycles = wb_cycles = 0
     bindings: Dict[tuple, MatrixBinding] = {}
-    row_costs: Dict[Tuple[int, bool], int] = {}  # (row_bytes, cached) -> cycles
 
     def binding_of(ref: tuple) -> MatrixBinding:
         binding = bindings.get(ref)
@@ -487,46 +475,14 @@ def replay_kernel(
             bindings[ref] = binding
         return binding
 
-    def row_cost(row_bytes: int, cached: bool) -> int:
-        cost = row_costs.get((row_bytes, cached))
-        if cost is None:
-            cost = transfer_cycles(row_bytes, offchip=not cached)
-            row_costs[(row_bytes, cached)] = cost
-        return cost
-
     def apply_rows(items: tuple) -> int:
-        total = 0
+        rows = []
         for ref, reg, row, offset in items:
             matrix = binding_of(ref)
-            address = matrix.row_address(row)
-            row_bytes = matrix.row_bytes
-            # Cycle cost uses the slow path's exact criterion: is the
-            # *first* byte's line resident (allocator.load_rows).
-            total += row_cost(row_bytes, lookup(address) is not None)
-            # Functionally, any cached line overlaying the row forces the
-            # routed read; the common serving case (cold cache, sources
-            # straight from memory) copies memory -> VRF as one numpy
-            # slice assignment with no bytes round-trip.
-            tag = address - (address % line_bytes)
-            end = address + row_bytes
-            overlaid = False
-            while tag < end:
-                line = tag_map.get(tag)
-                if line is not None and line.valid:
-                    overlaid = True
-                    break
-                tag += line_bytes
-            etype = matrix.etype
-            if not overlaid and address >= mem_base and end <= mem_end:
-                values = mem_data[address - mem_base : end - mem_base].view(
-                    etype.np_dtype
-                )
-            else:
-                values = frombuffer(
-                    route_read(address, row_bytes), dtype=etype.np_dtype
-                )
-            vrf.write(reg, values, offset)
-        return total
+            rows.append(
+                (matrix.row_address(row), matrix.row_bytes, vrf, reg, matrix.etype, offset)
+            )
+        return transfer(rows)
 
     if compiled is None:
         # compiled segments bind a specific system's VRF; the per-key
@@ -567,11 +523,11 @@ def replay_kernel(
             etype = matrix.etype
             row_bytes = n_cols * etype.nbytes
             start = t if t >= lock_free else lock_free
-            total = 0
-            for reg, row in items:
-                address = matrix.row_address(row)
-                total += row_cost(row_bytes, lookup(address) is not None)
-                route_write(address, vrf.view(reg, etype)[:n_cols].tobytes())
+            total = transfer(
+                [(matrix.row_address(row), row_bytes, vrf, reg, etype, 0)
+                 for reg, row in items],
+                store=True,
+            )
             t = start + lock_overhead + total
             lock_free = t
             wb_cycles += total
@@ -809,7 +765,7 @@ class ReplayCache:
         if controller.lock_holder is not None or controller._host_inflight > 0:
             return False
         allocator = scheduler.allocator
-        if allocator.corruption is not None \
+        if allocator.dma.corruption is not None \
                 or allocator.vpus[vpu_index].vrf.corruption is not None:
             # an armed dma_corrupt/vrf_flip hook counts rows and register
             # writes as the body runs; only the slow path produces them

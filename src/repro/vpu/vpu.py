@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.sim.stats import StatsRegistry
-from repro.vpu.visa import ElementType, VectorOp, VectorOpcode
+from repro.vpu.visa import VectorOp, VectorOpcode
 from repro.vpu.vrf import VectorRegisterFile
 
 
@@ -58,12 +58,6 @@ class Vpu:
         )
 
     # -- timing ----------------------------------------------------------
-
-    def elems_per_cycle(self, etype: ElementType, stride: int = 1) -> int:
-        """Element throughput for the given element type and access stride."""
-        if stride == 1:
-            return self.lanes * etype.elems_per_word
-        return self.lanes
 
     def op_cycles(self, op: VectorOp) -> int:
         """Cycle cost of executing ``op`` on this VPU.

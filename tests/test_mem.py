@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.integrity import CorruptionDirective
 from repro.mem.bus import BusModel
-from repro.mem.dma import Dma2D, DmaRequest
+from repro.mem.dma import Dma2D
 from repro.mem.memory import MainMemory, MainMemoryError
 from repro.sim.kernel import Simulator
+from repro.vpu.visa import ElementType
+from repro.vpu.vrf import VectorRegisterFile
 
 
 class TestMainMemory:
@@ -86,114 +88,202 @@ class TestBusModel:
         assert bus.transfer_cycles(8) == 2 * (2 + 1)
 
 
-def _memory_endpoints(memory: MainMemory):
-    return memory.read_block, memory.write_block
+W = ElementType.W
+
+
+def _engine(cache):
+    """A DMA engine over the harness controller, plus VPU 1's registers.
+
+    The register lines are claimed for compute, as the allocator does, so
+    fetch-on-write never picks them as victims.
+    """
+    lines = cache.ct.vpu_lines(1)
+    for line in lines:
+        cache.ct.claim_for_compute(line)
+    return Dma2D(cache.controller, cache.bus), VectorRegisterFile(lines)
+
+
+def _words(start, count):
+    return np.arange(start, start + count, dtype=np.int32)
+
+
+class RowRecorder:
+    """A pass-through corruption hook that records every row payload."""
+
+    def __init__(self):
+        self.payloads = []
+
+    def on_dma_row(self, payload):
+        self.payloads.append(bytes(payload))
+        return payload
 
 
 class TestDma2D:
-    def test_contiguous_copy(self):
-        memory = MainMemory(4096)
-        memory.write_block(0, bytes(range(64)))
-        dma = Dma2D(BusModel())
-        read, write = _memory_endpoints(memory)
-        request = DmaRequest(src_addr=0, dst_addr=1024, row_bytes=64, rows=1,
-                             read=read, write=write)
-        cycles = dma.transfer(request)
-        assert memory.read_block(1024, 64) == bytes(range(64))
-        assert cycles == BusModel().transfer_cycles(64)
+    def test_contiguous_copy(self, cache):
+        dma, vrf = _engine(cache)
+        cache.memory.write_block(0x100, _words(0, 16).tobytes())
+        cycles = dma.transfer([(0x100, 64, vrf, 0, W, 0)])
+        assert np.array_equal(vrf.view(0, W), _words(0, 16))
+        assert cycles == cache.bus.transfer_cycles(64, offchip=True)
 
-    def test_strided_gather(self):
-        # gather column-like rows: 4 rows of 8 bytes with 32-byte src stride
-        memory = MainMemory(4096)
+    def test_strided_gather(self, cache):
+        # four 8-byte rows 128 bytes apart land in consecutive registers
+        dma, vrf = _engine(cache)
         for row in range(4):
-            memory.write_block(row * 32, bytes([row] * 8))
-        dma = Dma2D(BusModel())
-        read, write = _memory_endpoints(memory)
-        request = DmaRequest(src_addr=0, dst_addr=2048, row_bytes=8, rows=4,
-                             src_stride=32, dst_stride=8, read=read, write=write)
-        dma.transfer(request)
-        assert memory.read_block(2048, 32) == bytes([0] * 8 + [1] * 8 + [2] * 8 + [3] * 8)
-
-    def test_scatter(self):
-        memory = MainMemory(4096)
-        memory.write_block(0, bytes(range(16)))
-        dma = Dma2D(BusModel())
-        read, write = _memory_endpoints(memory)
-        request = DmaRequest(src_addr=0, dst_addr=256, row_bytes=4, rows=4,
-                             src_stride=4, dst_stride=64, read=read, write=write)
-        dma.transfer(request)
+            cache.memory.write_block(0x1000 + row * 128, _words(row * 10, 2).tobytes())
+        dma.transfer([(0x1000 + row * 128, 8, vrf, row, W, 0) for row in range(4)])
         for row in range(4):
-            assert memory.read_block(256 + row * 64, 4) == bytes(range(row * 4, row * 4 + 4))
+            assert np.array_equal(vrf.view(row, W)[:2], _words(row * 10, 2))
 
-    def test_row_hook_invoked_per_row(self):
-        memory = MainMemory(1024)
-        seen = []
-        dma = Dma2D(BusModel())
-        read, write = _memory_endpoints(memory)
-        request = DmaRequest(src_addr=0, dst_addr=512, row_bytes=8, rows=3,
-                             read=read, write=write,
-                             row_hook=lambda row, s, d: seen.append((row, s, d)))
-        dma.transfer(request)
-        assert seen == [(0, 0, 512), (1, 8, 520), (2, 16, 528)]
+    def test_packed_rows_land_at_element_offsets(self, cache):
+        dma, vrf = _engine(cache)
+        cache.memory.write_block(0x400, _words(0, 6).tobytes())
+        dma.transfer([(0x400 + row * 8, 8, vrf, 2, W, row * 2) for row in range(3)])
+        assert np.array_equal(vrf.view(2, W)[:6], _words(0, 6))
 
-    def test_process_form_advances_time_per_row(self):
-        memory = MainMemory(1024)
-        bus = BusModel(request_latency=1)
-        dma = Dma2D(bus)
+    def test_scatter(self, cache):
+        # registers back to rows 128 bytes apart, through the cache
+        dma, vrf = _engine(cache)
+        for reg in range(4):
+            vrf.write(reg, _words(reg * 4, 4))
+        dma.transfer(
+            [(0x2000 + reg * 128, 16, vrf, reg, W, 0) for reg in range(4)], store=True
+        )
+        for reg in range(4):
+            address = 0x2000 + reg * 128
+            assert cache.controller.peek(address, 16) == _words(reg * 4, 4).tobytes()
+            assert cache.ct.lookup(address).dirty
+
+    def test_store_allocates_its_line(self, cache):
+        # fetch-on-write: the covering line is filled from memory first,
+        # then the row lands in it dirty; memory keeps the old bytes
+        dma, vrf = _engine(cache)
+        old = bytes(range(64))
+        cache.memory.write_block(0x3000, old)
+        vrf.write(0, _words(-2, 2))
+        cycles = dma.transfer([(0x3010, 8, vrf, 0, W, 0)], store=True)
+        line = cache.ct.lookup(0x3000)
+        assert line is not None and line.dirty
+        assert cache.stats.value("llc.refills") == 1
+        expected = old[:16] + _words(-2, 2).tobytes() + old[24:]
+        assert cache.controller.peek(0x3000, 64) == expected
+        assert cache.memory.read_block(0x3000, 64) == old
+        assert cycles == cache.bus.transfer_cycles(8, offchip=True)
+
+    def test_store_into_resident_line_is_onchip(self, cache):
+        dma, vrf = _engine(cache)
+        dma.transfer([(0x3000, 8, vrf, 0, W, 0)], store=True)
+        cycles = dma.transfer([(0x3008, 8, vrf, 0, W, 0)], store=True)
+        assert cycles == cache.bus.transfer_cycles(8, offchip=False)
+        assert cache.stats.value("llc.refills") == 1
+
+    def test_onchip_pricing_follows_the_first_byte(self, cache):
+        # a 64-byte row straddling two lines: only the first byte's line counts
+        dma, vrf = _engine(cache)
+        row = [(0x5020, 64, vrf, 0, W, 0)]
+        onchip = cache.bus.transfer_cycles(64, offchip=False)
+        offchip = cache.bus.transfer_cycles(64, offchip=True)
+        assert dma.transfer(row) == offchip
+        cache.read(0x5040)  # only the second line is resident
+        assert dma.transfer(row) == offchip
+        cache.read(0x5000)  # now the first byte's line is too
+        assert dma.transfer(row) == onchip
+        cache.controller.invalidate_region(0x5040, 0x5080)
+        assert cache.ct.lookup(0x5040) is None
+        assert dma.transfer(row) == onchip  # the second line does not matter
+
+    def test_load_reads_through_a_dirty_overlay(self, cache):
+        # the row's second half sits in a dirty line newer than memory
+        dma, vrf = _engine(cache)
+        cache.memory.write_block(0x6020, _words(0, 16).tobytes())
+        cache.write(0x6040, 0x7777)
+        assert cache.ct.lookup(0x6040).dirty
+        cycles = dma.transfer([(0x6020, 64, vrf, 0, W, 0)])
+        expected = _words(0, 16)
+        expected[8] = 0x7777
+        assert np.array_equal(vrf.view(0, W)[:16], expected)
+        assert cache.memory.read_u32(0x6040) == 8  # still the stale copy
+        assert cycles == cache.bus.transfer_cycles(64, offchip=True)
+
+    def test_row_hook_invoked_per_row(self, cache):
+        # the corruption hook sees every payload once, loads and stores,
+        # in row order
+        dma, vrf = _engine(cache)
+        cache.memory.write_block(0x100, _words(1, 4).tobytes())
+        recorder = RowRecorder()
+        dma.corruption = recorder
+        dma.transfer([(0x100, 8, vrf, 0, W, 0), (0x108, 8, vrf, 1, W, 0)])
+        dma.transfer([(0x200, 4, vrf, 1, W, 0), (0x300, 8, vrf, 0, W, 0)], store=True)
+        assert recorder.payloads == [
+            _words(1, 2).tobytes(),
+            _words(3, 2).tobytes(),
+            _words(3, 1).tobytes(),
+            _words(1, 2).tobytes(),
+        ]
+
+    def test_process_form_advances_time_per_row(self, cache):
+        dma, vrf = _engine(cache)
+        rows = [(0x100 + row * 16, 16, vrf, row, W, 0) for row in range(4)]
+        per_row = cache.bus.transfer_cycles(16, offchip=True)
+        process = dma.transfer_process(rows)
+        yielded = []
+        try:
+            while True:
+                yielded.append(next(process))
+        except StopIteration as stop:
+            total = stop.value
+        assert yielded == [per_row] * 4
+        assert total == 4 * per_row
         sim = Simulator()
-        read, write = _memory_endpoints(memory)
-        request = DmaRequest(src_addr=0, dst_addr=512, row_bytes=16, rows=4,
-                             read=read, write=write)
-        sim.run_process(dma.transfer_process(sim, request))
-        assert sim.now == 4 * bus.transfer_cycles(16)
+        sim.run_process(dma.transfer_process(rows))
+        assert sim.now == 4 * per_row
 
-    def test_stats_recorded(self):
-        memory = MainMemory(1024)
-        dma = Dma2D(BusModel())
-        read, write = _memory_endpoints(memory)
-        dma.transfer(DmaRequest(src_addr=0, dst_addr=512, row_bytes=32, rows=2,
-                                read=read, write=write))
-        assert dma.stats.value("dma.transfers") == 1
-        assert dma.stats.value("dma.bytes") == 64
+    def test_empty_transfer_is_free(self, cache):
+        dma, _ = _engine(cache)
+        assert dma.transfer([]) == 0
+        assert dma.transfer([], store=True) == 0
 
-    def test_invalid_request_rejected(self):
-        with pytest.raises(ValueError):
-            DmaRequest(src_addr=0, dst_addr=0, row_bytes=-1, rows=1)
-
-    def test_negative_strides_rejected(self):
-        with pytest.raises(ValueError, match="strides must be non-negative"):
-            DmaRequest(src_addr=0, dst_addr=0, row_bytes=8, rows=2, src_stride=-8)
-        with pytest.raises(ValueError, match="strides must be non-negative"):
-            DmaRequest(src_addr=0, dst_addr=0, row_bytes=8, rows=2, dst_stride=-8)
-
-    def test_empty_transfer_skips_stats(self):
-        # zero rows and zero-byte rows move nothing: no cycles, no counters
-        dma = Dma2D(BusModel())
-        assert dma.transfer(DmaRequest(src_addr=0, dst_addr=0, row_bytes=8,
-                                       rows=0)) == 0
-        assert dma.transfer(DmaRequest(src_addr=0, dst_addr=0, row_bytes=0,
-                                       rows=5)) == 0
-        assert dma.stats.value("dma.transfers") == 0
-        assert dma.stats.value("dma.bytes") == 0
-        assert dma.stats.value("dma.cycles") == 0
-
-    def test_empty_transfer_process_skips_stats(self):
-        dma = Dma2D(BusModel())
+    def test_empty_transfer_process_is_free(self, cache):
+        dma, _ = _engine(cache)
         sim = Simulator()
-        sim.run_process(dma.transfer_process(
-            sim, DmaRequest(src_addr=0, dst_addr=0, row_bytes=8, rows=0)))
+        assert sim.run_process(dma.transfer_process([])) == 0
         assert sim.now == 0
-        assert dma.stats.value("dma.transfers") == 0
 
-    @given(st.integers(0, 8), st.integers(0, 32))
-    @settings(max_examples=20, deadline=None)
-    def test_empty_iff_no_bytes(self, rows, row_bytes):
-        request = DmaRequest(src_addr=0, dst_addr=0, row_bytes=row_bytes, rows=rows)
-        assert request.empty == (request.total_bytes == 0)
 
-    @given(st.integers(1, 8), st.integers(1, 32), st.integers(0, 64))
-    @settings(max_examples=20, deadline=None)
-    def test_total_bytes_property(self, rows, row_bytes, extra_stride):
-        request = DmaRequest(src_addr=0, dst_addr=0, row_bytes=row_bytes, rows=rows,
-                             src_stride=row_bytes + extra_stride)
-        assert request.total_bytes == rows * row_bytes
+class TestDmaCorruption:
+    """``dma_corrupt`` flips one bit of the nth row the engine moves."""
+
+    @pytest.mark.parametrize("target", range(4))
+    def test_hits_the_nth_row_across_loads_and_stores(self, system, target):
+        allocator = system.llc.runtime.allocator
+        dma = allocator.dma
+        vrf = system.llc.vpus[0].vrf
+        window = allocator.claim(0, 2)
+        source = system.place_matrix(_words(0, 8).reshape(2, 4))
+        dest = system.alloc_matrix((2, 4), np.int32)
+        system.corruption.arm(
+            [CorruptionDirective("dma_corrupt", site=target + 16, value=32 + 3)]
+        )
+        assert dma.corruption is system.corruption
+        loads = [
+            (source.address + row * 16, 16, vrf, window[row], W, 0) for row in range(2)
+        ]
+        stores = [
+            (dest.address + row * 16, 16, vrf, window[row], W, 0) for row in range(2)
+        ]
+        dma.transfer(loads)
+        dma.transfer(stores, store=True)
+        system.corruption.disarm()
+        assert dma.corruption is None
+        # bit 35 of a 16-byte row: byte 4, bit 3 -> element 1 gets +/- 8
+        expected = _words(0, 8).reshape(2, 4)
+        if target < 2:  # a load: the register and its store copy both see it
+            expected[target, 1] ^= 8
+        else:
+            expected[target - 2, 1] ^= 8
+        assert system.read_matrix(dest).tobytes() == expected.tobytes()
+        if target < 2:
+            assert vrf.view(window[target], W)[1] == expected[target, 1]
+        assert system.corruption.events == [
+            {"kind": "dma_corrupt", "row_event": target, "byte": 4, "bit": 3}
+        ]
