@@ -21,6 +21,7 @@ from repro.serve import (
     ServingEngine,
     estimate_service_cycles,
     gemm_request,
+    kernel_request,
 )
 
 pytestmark = pytest.mark.dispatch
@@ -136,6 +137,24 @@ class TestSerialMultiprocessEquivalence:
             gemm_batch(rng, 6), pool_size=3, online=False, verify=True,
         )
         assert_reports_identical(serial, parallel)
+
+    def test_offline_rejected_slots_without_faults(self, rng):
+        """A fault-free offline batch whose attempts fail anyway (offloads
+        to an unregistered slot, which the decoder kills) reports the
+        same failures, recoveries and event log in every pool layout."""
+        requests = []
+        for i in range(6):
+            a = rng.integers(-5, 5, (6, 8)).astype(np.int16)
+            b = rng.integers(-5, 5, (8, 5)).astype(np.int16)
+            requests.append(gemm_request(2 * i, a, b))
+            requests.append(kernel_request(
+                2 * i + 1, 30, [np.zeros((4, 4), dtype=np.int16)], (4, 4)
+            ))
+        serial, parallel = serve_pair(requests, pool_size=2, online=False)
+        assert_reports_identical(serial, parallel)
+        assert serial.events() == parallel.events()
+        assert serial.availability["failed_attempts_by_class"] == {"rejected": 6}
+        assert [r.status for r in serial.results] == ["ok", "failed"] * 6
 
 
 class TestFleetReplayCache:
