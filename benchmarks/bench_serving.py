@@ -7,8 +7,8 @@ output against the numpy golden models, and emits one JSON perf record —
 the repo's serving-performance trajectory, tracked per commit by CI.
 
 The record carries two sections: **offline** (the whole batch present at
-cycle 0, assignment precomputed by the engine's policy) and **online**
-(the same workload replayed as arrival-driven traffic through the FIFO
+cycle 0, each request preferring the worker the engine's operand-volume
+balancing picked) and **online** (the same workload replayed as arrival-driven traffic through the FIFO
 admission queue + least-backlog dispatcher, reporting the
 ``queue_delay + service`` latency split, per-worker utilization and the
 sustained req/Mcycle under load).
@@ -220,12 +220,12 @@ def run_integrity(args, config, requests) -> dict:
     """
     plan = args.faults if plan_corrupts(args.faults) else "flip:0.02"
     base = ServingEngine(
-        pool_size=args.pool, config=config, policy=args.policy,
-        processes=args.processes, integrity="off",
+        pool_size=args.pool, config=config, processes=args.processes,
+        integrity="off",
     )
     guarded = ServingEngine(
-        pool_size=args.pool, config=config, policy=args.policy,
-        processes=args.processes, integrity=args.integrity,
+        pool_size=args.pool, config=config, processes=args.processes,
+        integrity=args.integrity,
     )
 
     start = time.perf_counter()
@@ -284,8 +284,7 @@ def run_scale(args, config) -> dict:
     """
     requests = make_scale_workload(args.scale_requests, args.seed)
     engine = ServingEngine(
-        pool_size=args.scale_pool, config=config, policy=args.policy,
-        share_replay=True,
+        pool_size=args.scale_pool, config=config, share_replay=True,
     )
     sections = {}
     for name, trace in (
@@ -338,8 +337,6 @@ def main() -> None:
     parser.add_argument("--processes", type=int, default=1, help="OS processes")
     parser.add_argument("--size", type=int, default=16, help="base operand size")
     parser.add_argument("--seed", type=int, default=2025)
-    parser.add_argument("--policy", default="least_loaded",
-                        choices=("least_loaded", "round_robin"))
     parser.add_argument("--trace", default="poisson:25",
                         help="online arrival process, e.g. poisson:25, "
                              "uniform:10000:50000, bursty:8:200000, "
@@ -383,8 +380,7 @@ def main() -> None:
     )
     requests = make_workload(args.requests, args.size, args.seed)
     engine = ServingEngine(
-        pool_size=args.pool, config=config, policy=args.policy,
-        processes=args.processes,
+        pool_size=args.pool, config=config, processes=args.processes,
     )
     offline = engine.serve(requests, verify=not args.no_verify)
 

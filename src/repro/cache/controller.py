@@ -267,7 +267,7 @@ class LlcController:
         result are served with the latest data.
         """
         cursor = address
-        view = memoryview(bytes(payload))
+        view = memoryview(payload)
         while view:
             line = self.ct.lookup(cursor)
             tag = self.ct.tag_of(cursor)
@@ -284,7 +284,7 @@ class LlcController:
                 victim.data[:] = bytearray(self._memory_read_line(tag))
                 line = victim
                 self._c_refills.add()
-            line.write_bytes(cursor - line.tag, bytes(view[:chunk]))
+            line.write_bytes(cursor - line.tag, view[:chunk])
             line.dirty = True
             cursor += chunk
             view = view[chunk:]
@@ -328,16 +328,16 @@ class LlcController:
     def poke(self, address: int, payload: bytes) -> None:
         """Debug write that keeps cache and memory coherent."""
         cursor = address
-        view = memoryview(bytes(payload))
+        view = memoryview(payload)
         while view:
             line = self.ct.lookup(cursor)
             tag = self.ct.tag_of(cursor)
             chunk = min(len(view), tag + self.ct.line_bytes - cursor)
             if line is not None:
-                line.write_bytes(cursor - line.tag, bytes(view[:chunk]))
+                line.write_bytes(cursor - line.tag, view[:chunk])
                 line.dirty = True
             else:
-                self.memory.write_block(cursor, bytes(view[:chunk]))
+                self.memory.write_block(cursor, view[:chunk])
             cursor += chunk
             view = view[chunk:]
 

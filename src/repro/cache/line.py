@@ -85,9 +85,9 @@ class CacheLine:
             return self.stuck[offset : offset + length].tobytes()
         return self.data[offset : offset + length].tobytes()
 
-    def write_bytes(self, offset: int, payload: bytes) -> None:
+    def write_bytes(self, offset: int, payload: "bytes | memoryview") -> None:
         self.data[offset : offset + len(payload)] = np.frombuffer(
-            bytes(payload), dtype=np.uint8
+            payload, dtype=np.uint8
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -119,13 +119,13 @@ class ServingReport:
     #: the run's SpanRecorder (``observe=True``); rides along for trace
     #: export (:func:`repro.obs.export.chrome_trace`), excluded from JSON
     spans: Optional[object] = field(default=None, repr=False)
-    #: raw dispatcher event log (online runs); feeds :meth:`events`
+    #: the dispatch core's event log; feeds :meth:`events`
     dispatch_events: List = field(default_factory=list, repr=False)
 
     @property
     def requests_per_second(self) -> float:
         """Harness throughput — wall-clock of serving on a *ready* pool
-        (pool construction is excluded in both serial and parallel modes,
+        (pool construction is excluded in serial and multi-process pools,
         so records are comparable across ``processes`` settings)."""
         return self.n_requests / self.wall_seconds if self.wall_seconds > 0 else 0.0
 

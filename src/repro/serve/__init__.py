@@ -45,7 +45,7 @@ from repro.serve.dispatch import (
 )
 from repro.integrity.check import INTEGRITY_POLICIES
 from repro.integrity.inject import CORRUPTION_KINDS
-from repro.serve.engine import POLICIES, ServingEngine
+from repro.serve.engine import ServingEngine
 from repro.serve.faults import (
     ALL_FAULT_KINDS,
     FAULT_KINDS,
@@ -93,7 +93,6 @@ __all__ = [
     "INTEGRITY_POLICIES",
     "KINDS",
     "MODES",
-    "POLICIES",
     "SEQUENCE_CLOCK",
     "STATUSES",
     "TRAFFIC_KINDS",

@@ -1,19 +1,16 @@
-"""The unified dispatch core: one scheduling loop for every serving mode.
+"""The dispatch core: one scheduling loop for every serving mode.
 
-Before this module, ``serve/`` had three divergent execution paths —
-offline serial (faults + retry + quarantine), offline parallel shards
-(no faults, no retry), and online (serial pool only, plain FIFO).  The
-:class:`DispatchCore` replaces all three with **one event loop** that
-owns admission, worker selection, retry/failover, quarantine and
-deadlines, parameterized by three orthogonal pieces of
-data (the Exo/SYS_ATL scheduling-as-data idiom: one fixed algorithm,
-policies as values):
+:class:`DispatchCore` is the only way a batch of requests runs — offline
+or online, serial or multi-process.  One event loop owns admission,
+worker selection, retry/failover, quarantine and deadlines,
+parameterized by three orthogonal pieces of data (the Exo/SYS_ATL
+scheduling-as-data idiom: one fixed algorithm, policies as values):
 
 * a **clock** — :data:`CYCLE_CLOCK` runs the loop in simulated cycles
   (arrival-driven online serving: backlog-aware dispatch, simulated
   backoff, deadlines, the request timeline); :data:`SEQUENCE_CLOCK`
   runs it in dispatch-sequence order (offline batches: the engine's
-  precomputed assignment is the preferred worker, retries are
+  operand-volume assignment is the preferred worker, retries are
   immediate, no timeline);
 * an **admission policy** (:class:`AdmissionPolicy`) — ``fifo`` keeps
   strict arrival order; ``priority`` serves lower priority classes
@@ -25,8 +22,9 @@ policies as values):
 * a **pool backend** — :class:`SerialPool` executes on in-process
   :class:`~repro.serve.worker.SystemWorker` instances;
   :class:`ProcessPool` partitions the pool over OS processes (worker
-  ``w`` lives in shard ``w % processes``) behind the same six-call
-  protocol.
+  ``w`` lives in shard ``w % processes``), each shard a
+  :class:`SerialPool` over its own workers that serves the forwarded
+  :data:`SHARD_COMMANDS` by name.
 
 Fault decisions live in the **core**, not the worker: the core calls
 :meth:`FaultInjector.before_attempt` itself and mirrors the decision to
@@ -35,8 +33,9 @@ faults in identical order.  Combined with two existing invariants —
 per-request results are bit-exact with single-shot cold runs
 (``reset_heap()``) and injected faults fire *before* execution — this
 makes serial vs multi-process reports bit-identical (outputs, statuses,
-simulated cycles, event logs, availability), which is what lifted the
-old ``processes=1`` restrictions on faults and online serving.
+simulated cycles, event logs, availability).  The core calls the
+backend one attempt at a time, so shards never overlap: ``processes``
+partitions the pool without a wall-clock gain.
 
 The :class:`ProcessPool` also carries the **shared fleet replay cache**
 (:mod:`repro.serve.fleet`): recordings a shard publishes ride back on
@@ -48,7 +47,6 @@ boundaries.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -260,12 +258,13 @@ class AdmissionPolicy:
 
 
 class SerialPool:
-    """In-process backend over a list of :class:`SystemWorker`."""
+    """In-process backend over :class:`SystemWorker` instances, addressed
+    by :attr:`SystemWorker.index`."""
 
     def __init__(self, workers: Sequence[SystemWorker]) -> None:
         if not workers:
             raise ValueError("pool backend needs at least one worker")
-        self.workers = list(workers)
+        self.workers = {worker.index: worker for worker in workers}
 
     @property
     def n_workers(self) -> int:
@@ -296,7 +295,7 @@ class SerialPool:
         self, name: str, recipe_json: str, func5: Optional[int] = None
     ) -> None:
         """Swap a tuned-recipe kernel variant into every worker."""
-        for worker in self.workers:
+        for worker in self.workers.values():
             worker.register_recipe(name, recipe_json, func5)
 
     def last_recovery(self, worker: int) -> Optional[Dict[str, Optional[str]]]:
@@ -305,57 +304,51 @@ class SerialPool:
     def busy_cycles(self, worker: int) -> int:
         return self.workers[worker].busy_cycles
 
-    def health_snapshots(self) -> List[Dict[str, int]]:
-        return [w.health_snapshot() for w in self.workers]
+    def health_snapshots(self) -> Dict[int, Dict[str, int]]:
+        return {index: w.health_snapshot() for index, w in self.workers.items()}
 
     def replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
         stats: Dict[int, Optional[Dict[str, int]]] = {}
-        for w in self.workers:
+        for index, w in self.workers.items():
             cache = w.system.llc.runtime.replay_cache
-            stats[w.index] = dict(cache.stats) if cache is not None else None
+            stats[index] = dict(cache.stats) if cache is not None else None
         return stats
 
     def close(self) -> None:
         pass
 
 
-def _run_static(
-    worker: SystemWorker, index: int, request: InferenceRequest
-) -> RequestResult:
-    """One attempt with the legacy static-shard failure shape."""
-    try:
-        return worker.run(request)
-    except ServingError as error:
-        return RequestResult.failure(
-            request, "failed",
-            f"attempt 1 on worker {index}: {error}",
-            worker=index, fault_class=error.fault_class,
-        )
+#: :class:`SerialPool` methods a :class:`ProcessPool` forwards to its shards.
+SHARD_COMMANDS = (
+    "execute", "apply_injected", "rebuild", "register_recipe",
+    "health_snapshots", "replay_stats",
+)
 
 
 def _pool_shard_main(
     conn, worker_indices, config, with_compiled, share_replay, integrity="off"
 ) -> None:
-    """Shard-process entry point: own a subset of workers, serve commands.
+    """Shard-process entry point: a :class:`SerialPool` over a subset of
+    workers, serving forwarded :data:`SHARD_COMMANDS` by name.
 
-    Every reply carries the shard's newly published fleet recordings and
-    any keys it *retracted* (poisoned recordings); every command may
-    carry recordings published — and retractions issued — by *other*
-    shards (applied before the command runs).  This is the
-    multiprocessing publish/subscribe path of the shared fleet replay
-    cache; because ``retract`` also cancels the shard's own pending
-    publishes, a recording poisoned and caught in the same command never
-    leaves its shard at all.
+    A command naming a ``worker`` replies with that worker's recovery
+    diagnostic; a :class:`ServingError` replies ``err`` (the parent
+    re-raises it), anything else ``fatal``.  Every reply carries the
+    shard's newly published fleet recordings and any keys it *retracted*
+    (poisoned recordings); every command may carry recordings published
+    — and retractions issued — by *other* shards (applied before the
+    command runs).  This is the multiprocessing publish/subscribe path
+    of the shared fleet replay cache; because ``retract`` also cancels
+    the shard's own pending publishes, a recording poisoned and caught
+    in the same command never leaves its shard at all.
     """
     from repro.serve.fleet import FleetReplayCache
 
     fleet = FleetReplayCache() if share_replay else None
-    workers = {
-        index: SystemWorker(
-            index, config, with_compiled, fleet=fleet, integrity=integrity
-        )
+    pool = SerialPool([
+        SystemWorker(index, config, with_compiled, fleet=fleet, integrity=integrity)
         for index in worker_indices
-    }
+    ])
     while True:
         try:
             command, kwargs, updates, retracted = conn.recv()
@@ -371,50 +364,17 @@ def _pool_shard_main(
         status: str = "ok"
         value: Any = None
         recovery: Optional[Dict[str, Optional[str]]] = None
-        try:
-            if command == "run":
-                worker = workers[kwargs["worker"]]
-                try:
-                    value = worker.run(
-                        kwargs["request"], attempt=kwargs["attempt"],
-                        observe=kwargs["observe"],
-                        slow_factor=kwargs["slow_factor"],
-                        directives=kwargs.get("directives", ()),
-                        bypass_fastpath=kwargs.get("bypass_fastpath", False),
-                    )
-                except ServingError as error:
-                    status, value = "err", error
-                recovery = worker.last_recovery
-            elif command == "inject":
-                worker = workers[kwargs["worker"]]
-                worker.apply_injected(kwargs["error"])
-                recovery = worker.last_recovery
-            elif command == "rebuild":
-                workers[kwargs["worker"]].rebuild()
-            elif command == "register_recipe":
-                # recipes are plain JSON: each shard recompiles locally
-                for worker in workers.values():
-                    worker.register_recipe(
-                        kwargs["name"], kwargs["recipe_json"], kwargs["func5"]
-                    )
-            elif command == "snapshots":
-                value = {w: worker.health_snapshot() for w, worker in workers.items()}
-            elif command == "replay":
-                value = {}
-                for w, worker in workers.items():
-                    cache = worker.system.llc.runtime.replay_cache
-                    value[w] = dict(cache.stats) if cache is not None else None
-            elif command == "run_batch":
-                start = time.perf_counter()
-                batch = [
-                    _run_static(workers[w], w, request)
-                    for w, request in kwargs["assignments"]
-                ]
-                value = (time.perf_counter() - start, batch)
-            else:
-                status, value = "fatal", f"unknown pool command {command!r}"
-        except Exception as error:  # pragma: no cover - defensive
-            status, value = "fatal", f"{type(error).__name__}: {error}"
+        if command not in SHARD_COMMANDS:
+            status, value = "fatal", f"unknown pool command {command!r}"
+        else:
+            try:
+                value = getattr(pool, command)(**kwargs)
+            except ServingError as error:
+                status, value = "err", error
+            except Exception as error:  # pragma: no cover - defensive
+                status, value = "fatal", f"{type(error).__name__}: {error}"
+            if "worker" in kwargs and status != "fatal":
+                recovery = pool.last_recovery(kwargs["worker"])
         published = fleet.drain_outbox() if fleet is not None else []
         retractions = fleet.drain_retractions() if fleet is not None else []
         try:
@@ -427,14 +387,14 @@ def _pool_shard_main(
 class ProcessPool:
     """Multi-process backend: worker ``w`` lives in shard ``w % processes``.
 
-    Each shard is a long-lived child process owning its workers outright
-    (same partitioning as the legacy ``_serve_parallel``), driven over a
-    pipe by the same protocol :class:`SerialPool` implements in-process.
-    Execution is remote but every *decision* stays in the parent's
-    dispatch core, so multi-process runs are bit-identical to serial
-    ones.  The parent mirrors per-worker busy cycles and the last
-    recovery diagnostic from replies, and relays fleet-cache recordings
-    between shards (see :func:`_pool_shard_main`).
+    Each shard is a long-lived child process running a
+    :class:`SerialPool` over the workers it owns, driven over a pipe
+    with the same method names (:data:`SHARD_COMMANDS`).  Execution is
+    remote but every *decision* stays in the parent's dispatch core, so
+    multi-process runs are bit-identical to serial ones.  The parent
+    mirrors per-worker busy cycles and the last recovery diagnostic from
+    replies, and relays fleet-cache recordings between shards (see
+    :func:`_pool_shard_main`).
     """
 
     def __init__(
@@ -518,6 +478,17 @@ class ProcessPool:
         self._send(shard, command, **kwargs)
         return self._recv(shard)
 
+    def _call(self, worker: int, command: str, **kwargs) -> Any:
+        """Run one worker-addressed command on the worker's shard; keep
+        its recovery diagnostic and re-raise a :class:`ServingError`."""
+        status, value, recovery = self._request(
+            self.shard_of[worker], command, worker=worker, **kwargs
+        )
+        self._recovery[worker] = recovery
+        if status == "err":
+            raise value
+        return value
+
     def execute(
         self,
         worker: int,
@@ -528,25 +499,19 @@ class ProcessPool:
         directives: Sequence = (),
         bypass_fastpath: bool = False,
     ) -> RequestResult:
-        shard = self.shard_of[worker]
-        status, value, recovery = self._request(
-            shard, "run", worker=worker, request=request, attempt=attempt,
+        result = self._call(
+            worker, "execute", request=request, attempt=attempt,
             observe=observe, slow_factor=slow_factor,
             directives=tuple(directives), bypass_fastpath=bypass_fastpath,
         )
-        self._recovery[worker] = recovery
-        if status == "err":
-            raise value
-        self._busy[worker] += value.sim_cycles
-        return value
+        self._busy[worker] += result.sim_cycles
+        return result
 
     def apply_injected(self, worker: int, error: ServingError) -> None:
-        shard = self.shard_of[worker]
-        _, _, recovery = self._request(shard, "inject", worker=worker, error=error)
-        self._recovery[worker] = recovery
+        self._call(worker, "apply_injected", error=error)
 
     def rebuild(self, worker: int) -> None:
-        self._request(self.shard_of[worker], "rebuild", worker=worker)
+        self._call(worker, "rebuild")
 
     def register_recipe(
         self, name: str, recipe_json: str, func5: Optional[int] = None
@@ -569,57 +534,13 @@ class ProcessPool:
         for shard in range(self.processes):
             _, value, _ = self._request(shard, command)
             merged.update(value)
-        return merged
+        return dict(sorted(merged.items()))
 
-    def health_snapshots(self) -> List[Dict[str, int]]:
-        by_worker = self._gather("snapshots")
-        return [by_worker[w] for w in range(self.pool_size)]
+    def health_snapshots(self) -> Dict[int, Dict[str, int]]:
+        return self._gather("health_snapshots")
 
     def replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
-        return dict(sorted(self._gather("replay").items()))
-
-    def run_batch(
-        self, assignments: Sequence[Tuple[int, InferenceRequest]]
-    ) -> Tuple[float, List[RequestResult]]:
-        """Fan one static batch out to all shards concurrently.
-
-        Reproduces the legacy parallel path: per-shard request order is
-        submission order, results scatter back by position, the wall
-        time is the slowest shard's serving loop, and a short shard is
-        a hard error (a dropped result would misalign every later
-        verify/report row).
-        """
-        parts: Dict[int, List[Tuple[int, InferenceRequest]]] = {
-            p: [] for p in range(self.processes)
-        }
-        order: Dict[int, List[int]] = {p: [] for p in range(self.processes)}
-        for position, (worker, request) in enumerate(assignments):
-            shard = self.shard_of[worker]
-            parts[shard].append((worker, request))
-            order[shard].append(position)
-        for p in range(self.processes):
-            self._send(p, "run_batch", assignments=parts[p])
-        results: List[Optional[RequestResult]] = [None] * len(assignments)
-        wall = 0.0
-        for p in range(self.processes):
-            _, value, _ = self._recv(p)
-            seconds, batch = value
-            wall = max(wall, seconds)
-            if len(batch) != len(order[p]):
-                raise RuntimeError(
-                    f"shard {p} returned {len(batch)} results for "
-                    f"{len(order[p])} requests"
-                )
-            for position, result in zip(order[p], batch):
-                results[position] = result
-                if result.status == "ok":
-                    self._busy[result.worker] += result.sim_cycles
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:
-            raise RuntimeError(
-                f"parallel serving lost results for request positions {missing}"
-            )
-        return wall, results  # type: ignore[return-value]
+        return self._gather("replay_stats")
 
     def close(self) -> None:
         for conn in self._conns:
@@ -647,14 +568,14 @@ class ProcessPool:
 
 
 class DispatchCore:
-    """One event loop for offline, online and parallel serving.
+    """One event loop for offline and online serving, in every pool layout.
 
     The loop pops ``(ready, *rank, seq, attempt, position)`` entries off
     a pending heap.  Under :data:`CYCLE_CLOCK` ``ready`` is the
     request's arrival (or retry-backoff) cycle and dispatch goes to the
     candidate with the smallest cycle backlog; under
     :data:`SEQUENCE_CLOCK` ``ready`` is the dispatch sequence number,
-    the engine's precomputed assignment is the first-attempt worker and
+    the engine's operand-volume assignment is the first-attempt worker and
     retries rebalance by accumulated busy cycles.  Faults, retry,
     failover, quarantine, bounded admission and deadlines behave
     identically on both clocks (deadlines and the simulated timeline
@@ -781,8 +702,9 @@ class DispatchCore:
     ) -> List[RequestResult]:
         """Serve every request; results in input order.
 
-        ``preferred`` (sequence clock only) is the engine's precomputed
-        request→worker assignment, honoured on first attempts.
+        ``preferred`` (sequence clock only) is each request's preferred
+        worker from the engine's operand-volume assignment, honoured on
+        first attempts.
         """
         requests = list(requests)
         cycles = self.clock == CYCLE_CLOCK

@@ -5,12 +5,12 @@ over a pool of long-lived, reusable
 :class:`~repro.serve.worker.SystemWorker` instances — the throughput
 layer the ROADMAP's "serve heavy traffic" north-star asks for, built on
 the lifecycle guarantees of ``ArcaneSystem.reset_heap()``.  Both serving
-modes are thin frontends over the unified
+modes are thin frontends over one driver that runs the
 :class:`~repro.serve.dispatch.DispatchCore`:
 
-* **offline** (:meth:`ServingEngine.serve`) computes request→worker
-  assignment up front — balancing estimated load by operand volume
-  (``least_loaded``) or strictly round-robin — and runs the core on the
+* **offline** (:meth:`ServingEngine.serve`) assigns every request a
+  preferred worker up front, balancing estimated load by operand volume
+  (as a front-end load balancer would), and runs the core on the
   dispatch-sequence clock (immediate retries, no simulated timeline);
 * **online** (:meth:`ServingEngine.serve_online`) replays seeded request
   arrivals in simulated time on the cycle clock: admission-policy
@@ -21,11 +21,11 @@ modes are thin frontends over the unified
   attempt)``) and mirrors the decision to the worker's owning backend,
   so retry/failover/quarantine behave — and report — bit-identically
   whether the pool is in-process or partitioned over OS processes;
-* **parallelism** — with ``processes > 1`` the pool lives in a
+* **process partitioning** — with ``processes > 1`` the pool lives in a
   persistent :class:`~repro.serve.dispatch.ProcessPool` (worker ``w`` in
-  shard ``w % processes``); a no-fault offline batch fans out statically
-  for wall-clock speed, everything else keeps decisions in the parent's
-  core with execution remote;
+  shard ``w % processes``); decisions stay in the parent's core and
+  execution is remote, one attempt at a time, so reports equal the
+  serial ones but shards do not run concurrently;
 * **fleet replay sharing** — ``share_replay=True`` connects every
   worker's replay cache through a
   :class:`~repro.serve.fleet.FleetReplayCache` (piggybacked over the
@@ -78,8 +78,6 @@ from repro.serve.request import InferenceRequest, RequestResult
 from repro.serve.traffic import TrafficSpec, stamp_arrivals
 from repro.serve.worker import SystemWorker
 
-POLICIES = ("least_loaded", "round_robin")
-
 
 @dataclass(frozen=True)
 class AutotunePolicy:
@@ -127,7 +125,6 @@ class ServingEngine:
         pool_size: int = 2,
         config: Optional[ArcaneConfig] = None,
         with_compiled: bool = True,
-        policy: str = "least_loaded",
         processes: int = 1,
         admission: Union[str, AdmissionPolicy, None] = "fifo",
         share_replay: bool = False,
@@ -136,14 +133,11 @@ class ServingEngine:
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool needs at least one system")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.pool_size = pool_size
         self.config = config
         self.with_compiled = with_compiled
-        self.policy = policy
         self.admission = AdmissionPolicy.coerce(admission)
         self.share_replay = share_replay
         self.integrity = coerce_policy(integrity)
@@ -282,25 +276,18 @@ class ServingEngine:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _assign(
-        self, requests: Sequence[InferenceRequest]
-    ) -> List[Tuple[int, InferenceRequest]]:
-        """Map every request to a worker index before execution.
+    def _assign(self, requests: Sequence[InferenceRequest]) -> List[int]:
+        """Each request's preferred worker, chosen before execution.
 
-        ``least_loaded`` balances *estimated* load by operand volume
-        (requests are assigned before they run, as a front-end load
-        balancer would); ``round_robin`` ignores load entirely.
+        Balances *estimated* load by operand volume (requests are
+        assigned before they run, as a front-end load balancer would).
         """
-        assignments: List[Tuple[int, InferenceRequest]] = []
-        if self.policy == "round_robin":
-            for i, request in enumerate(requests):
-                assignments.append((i % self.pool_size, request))
-            return assignments
+        assignments: List[int] = []
         load = [0] * self.pool_size
         for request in requests:
             worker = min(range(self.pool_size), key=lambda w: (load[w], w))
             load[worker] += self._estimate_cost(request)
-            assignments.append((worker, request))
+            assignments.append(worker)
         return assignments
 
     @staticmethod
@@ -402,7 +389,7 @@ class ServingEngine:
         self, before: Dict[int, Optional[Dict[str, int]]]
     ) -> Optional[Dict]:
         """Per-worker replay-cache stat deltas over one serving run."""
-        after = self._backend.replay_stats() if self._backend is not None else {}
+        after = self._backend.replay_stats()
         per_worker = {}
         for worker, now in sorted(after.items()):
             if now is None:
@@ -442,68 +429,9 @@ class ServingEngine:
         :meth:`~repro.serve.faults.FaultPlan.parse`) injects seeded
         faults deterministically — in any pool layout: fault decisions
         are drawn in the dispatch core, so multi-process runs are
-        bit-identical to serial ones.  A no-fault, no-retry batch on
-        ``processes > 1`` takes a static fan-out fast path (same results,
-        concurrent shards).
+        bit-identical to serial ones.
         """
-        requests = list(requests)
-        self._check_unique_ids(requests)
-        self._autotune_requests(requests)
-        plan = FaultPlan.coerce(faults)
-        assignments = self._assign(requests)
-        backend = self._get_backend()
-        replay_before = backend.replay_stats()
-        # wall time covers serving on a ready pool in every mode: the
-        # serial pool is built in __init__, process shards on first use.
-        if (
-            self.processes > 1 and plan is None and retry is None
-            and self.integrity == "off"
-        ):
-            # static fast path: assignment is precomputed and nothing can
-            # reorder it, so shards run their slices concurrently; an
-            # integrity policy needs the core's escalation loop, so it
-            # always takes the dispatch path
-            wall, results = backend.run_batch(assignments)
-            health = None
-            events = None
-            injector = None
-        else:
-            injector = FaultInjector(plan, fault_seed) if plan else None
-            supervisor = WorkerSupervisor(self.pool_size)
-            before = backend.health_snapshots()
-            core = DispatchCore(
-                backend, clock=SEQUENCE_CLOCK, admission=self.admission,
-                injector=injector, retry=retry, supervisor=supervisor,
-            )
-            preferred = [worker for worker, _ in assignments]
-            start = time.perf_counter()
-            results = core.run(requests, preferred=preferred)
-            wall = time.perf_counter() - start
-            events = core.events
-            health = self._collect_health(injector, supervisor, events, before)
-        # offline dispatch order is positional either way; the report
-        # still records the engine's policy so runs are comparable
-        admission = self.admission.kind
-
-        verified: Optional[bool] = None
-        validated = self._validate_mode(verify)
-        if validated is not None:
-            verified = self._verify_outputs(requests, results, validate=validated)
-
-        report = build_serving_report(
-            results, self.pool_size, self.processes, self.policy, wall, verified,
-            faults=plan.describe() if plan else None, health=health,
-            requested_processes=self.requested_processes, admission=admission,
-        )
-        report.results = results  # per-request detail rides along (not in JSON)
-        if events is not None:
-            report.dispatch_events = events
-        report.replay = self._replay_delta(replay_before)
-        report.autotune = self._autotune_report()
-        report.integrity = self._collect_integrity(
-            injector, events or [], requests, results, validated
-        )
-        return report
+        return self._serve(requests, SEQUENCE_CLOCK, verify, faults, fault_seed, retry)
 
     @staticmethod
     def _validate_mode(verify: Union[bool, str]) -> Optional[str]:
@@ -601,17 +529,16 @@ class ServingEngine:
         injector: Optional[FaultInjector],
         supervisor: WorkerSupervisor,
         events: Sequence,
-        before: Sequence[Dict[str, int]],
+        before: Dict[int, Dict[str, int]],
     ) -> Dict:
         """Fold the event log and injector/supervisor/worker state into the
         report's health record; worker counters are deltas over this
         serving run."""
         tally = fold_tallies(events)[0]
-        workers = {}
-        for index, (snapshot, now) in enumerate(
-            zip(before, self._backend.health_snapshots())
-        ):
-            workers[index] = {key: now[key] - snapshot[key] for key in now}
+        workers = {
+            index: {key: now[key] - before[index][key] for key in now}
+            for index, now in self._backend.health_snapshots().items()
+        }
         return {
             "retries": tally["retries"],
             "failovers": tally["failovers"],
@@ -666,17 +593,49 @@ class ServingEngine:
         :func:`repro.obs.export.write_chrome_trace`) and a rolling-metrics
         ``timeline`` (window width ``metrics_interval`` cycles, auto
         when ``None``), both folded after the run from the dispatch
-        event log every online report carries
+        event log every report carries
         (:meth:`~repro.eval.serving.ServingReport.events`).  All of it is
         host-side bookkeeping: outputs and cycle counts are bit-identical
         with ``observe=False``.
         """
-        requests = list(requests)
-        self._check_unique_ids(requests)
-        self._autotune_requests(requests)
         spec: Optional[TrafficSpec] = None
         if traffic is not None:
             spec = traffic if isinstance(traffic, TrafficSpec) else TrafficSpec.parse(traffic)
+        return self._serve(
+            requests, CYCLE_CLOCK, verify, faults, fault_seed, retry, spec=spec,
+            seed=seed, queue_capacity=queue_capacity, observe=observe,
+            metrics_interval=metrics_interval,
+        )
+
+    def _serve(
+        self,
+        requests: Sequence[InferenceRequest],
+        clock: str,
+        verify: Union[bool, str],
+        faults: Optional[Union[str, FaultPlan]],
+        fault_seed: int,
+        retry: Optional[RetryPolicy],
+        spec: Optional[TrafficSpec] = None,
+        seed: int = 0,
+        queue_capacity: Optional[int] = None,
+        observe: bool = False,
+        metrics_interval: Optional[int] = None,
+    ) -> ServingReport:
+        """The one serving driver: run the dispatch core on ``clock`` and
+        fold its results and event log into the report.
+
+        On the cycle clock (online) requests are stamped with ``spec``
+        arrivals when given; on the sequence clock (offline) each request
+        prefers its operand-volume assignment on the first attempt.
+        """
+        requests = list(requests)
+        self._check_unique_ids(requests)
+        self._autotune_requests(requests)
+        online = clock == CYCLE_CLOCK
+        preferred = None
+        if not online:
+            preferred = self._assign(requests)
+        elif spec is not None:
             requests = stamp_arrivals(requests, spec, seed)
         plan = FaultPlan.coerce(faults)
         injector = FaultInjector(plan, fault_seed) if plan else None
@@ -685,12 +644,14 @@ class ServingEngine:
         before = backend.health_snapshots()
         replay_before = backend.replay_stats()
         core = DispatchCore(
-            backend, clock=CYCLE_CLOCK, admission=self.admission,
+            backend, clock=clock, admission=self.admission,
             injector=injector, retry=retry, supervisor=supervisor,
             queue_capacity=queue_capacity, observe=observe,
         )
+        # wall time covers serving on a ready pool in every layout: the
+        # serial pool is built in __init__, process shards on first use
         start = time.perf_counter()
-        results = core.run(requests)
+        results = core.run(requests, preferred=preferred)
         wall = time.perf_counter() - start
         # spans carry the loop's statuses: fold before validation re-labels
         spans = None
@@ -703,14 +664,16 @@ class ServingEngine:
             verified = self._verify_outputs(requests, results, validate=validated)
 
         health = self._collect_health(injector, supervisor, core.events, before)
+        # ``policy`` names the one offline assignment rule (_assign)
         report = build_serving_report(
-            results, self.pool_size, self.processes, self.policy, wall, verified,
-            mode="online", traffic=spec.describe() if spec else "replay",
+            results, self.pool_size, self.processes, "least_loaded", wall, verified,
+            mode="online" if online else "offline",
+            traffic=(spec.describe() if spec else "replay") if online else None,
             faults=plan.describe() if plan else None, health=health,
             requested_processes=self.requested_processes,
             admission=self.admission.kind,
         )
-        report.results = results
+        report.results = results  # per-request detail rides along (not in JSON)
         report.dispatch_events = list(core.events)
         report.replay = self._replay_delta(replay_before)
         report.autotune = self._autotune_report()

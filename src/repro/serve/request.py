@@ -5,7 +5,7 @@ submits to the :class:`~repro.serve.engine.ServingEngine`: a GeMM, an
 ``xmk4`` convolutional layer, any single library kernel (handwritten or
 compiled), or a small *graph* of kernels chained through named tensors.
 Requests carry plain numpy operands; they are picklable so the engine
-can fan them out to parallel worker processes.
+can ship them to workers in other processes.
 
 A :class:`RequestResult` is the matching response: the output matrix,
 the per-request :class:`~repro.core.system.RunReport`(s), and the

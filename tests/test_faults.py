@@ -252,7 +252,7 @@ class TestOfflineFaults:
 
     def test_crash_failover_and_rebuild(self, rng):
         """A crashed worker is rebuilt and the retry fails over elsewhere."""
-        engine = ServingEngine(pool_size=2, config=CFG, policy="round_robin")
+        engine = ServingEngine(pool_size=2, config=CFG)
         report = engine.serve(gemm_batch(rng, 4), faults="crash_worker:0@1")
         assert all(r.status == "ok" for r in report.results)
         crashed = [r for r in report.results if r.attempts > 1]

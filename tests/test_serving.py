@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from repro.serve import (
     GraphNode,
     DispatchCore,
     InferenceRequest,
+    ProcessPool,
     SerialPool,
     ServingEngine,
     SystemWorker,
@@ -94,12 +94,6 @@ class TestEngineServing:
         report = engine.serve(requests)
         for request, result in zip(requests, report.results):
             assert np.array_equal(result.output, expected_output(request))
-
-    def test_round_robin_policy(self, rng):
-        engine = ServingEngine(pool_size=2, config=CFG, policy="round_robin")
-        report = engine.serve(mixed_requests(rng, 6), verify=True)
-        workers = [r.worker for r in report.results]
-        assert workers == [0, 1, 0, 1, 0, 1]
 
     def test_parallel_processes_match_serial(self, rng):
         requests = mixed_requests(rng, 8)
@@ -531,44 +525,15 @@ class TestOnlineServing:
         assert core.makespan_cycles == max(core.free_at)
 
 
-class TestParallelReassembly:
-    """ProcessPool.run_batch scatters shard batches back to submission
-    order; a short shard must raise, never silently drop a result."""
-
-    @staticmethod
-    def _stub_pool(batches):
-        from repro.serve.dispatch import ProcessPool
-
-        pool = ProcessPool.__new__(ProcessPool)
-        pool.pool_size = 2
-        pool.processes = 2
-        pool.shard_of = {0: 0, 1: 1}
-        pool._busy = [0, 0]
-        pool._updates = [[], []]
-        pool._send = lambda shard, command, **kwargs: None
-        pool._recv = lambda shard: ("ok", batches[shard], None)
-        return pool
-
-    @staticmethod
-    def _result(name):
-        return SimpleNamespace(status="failed", worker=-1, name=name)
-
-    def test_short_shard_raises(self, rng):
-        requests = mixed_requests(rng, 2)
-        pool = self._stub_pool({0: (0.0, []), 1: (0.0, [self._result("r1")])})
-        with pytest.raises(RuntimeError, match="shard 0 returned 0 results"):
-            pool.run_batch([(0, requests[0]), (1, requests[1])])
-
-    def test_run_batch_restores_submission_order(self, rng):
-        requests = mixed_requests(rng, 3)
-        r0, r1, r2 = (self._result(f"r{i}") for i in range(3))
-        # worker 0 (shard 0) serves positions 0 and 2; worker 1 position 1
-        pool = self._stub_pool({0: (0.5, [r0, r2]), 1: (0.25, [r1])})
-        wall, results = pool.run_batch(
-            [(0, requests[0]), (1, requests[1]), (0, requests[2])]
-        )
-        assert results == [r0, r1, r2]
-        assert wall == 0.5  # the slowest shard's serving loop
+def test_unknown_shard_command_is_fatal():
+    """A shard serves only the pool protocol's method names; anything
+    else takes the ``fatal`` reply, which the parent raises."""
+    pool = ProcessPool(1, 1, CFG)
+    try:
+        with pytest.raises(RuntimeError, match="unknown pool command 'bogus'"):
+            pool._request(0, "bogus")
+    finally:
+        pool.close()
 
 
 def test_partial_timeline_rejected_by_online_report(rng):
