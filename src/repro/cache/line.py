@@ -85,7 +85,7 @@ class CacheLine:
             return self.stuck[offset : offset + length].tobytes()
         return self.data[offset : offset + length].tobytes()
 
-    def write_bytes(self, offset: int, payload: "bytes | memoryview") -> None:
+    def write_bytes(self, offset: int, payload: bytes | memoryview) -> None:
         self.data[offset : offset + len(payload)] = np.frombuffer(
             payload, dtype=np.uint8
         )
