@@ -6,12 +6,12 @@ workload (gemm / conv_layer / compiled fc / kernel graphs), verifies every
 output against the numpy golden models, and emits one JSON perf record —
 the repo's serving-performance trajectory, tracked per commit by CI.
 
-The record carries two sections: **offline** (the whole batch present at
-cycle 0, each request preferring the worker the engine's operand-volume
-balancing picked) and **online** (the same workload replayed as arrival-driven traffic through the FIFO
-admission queue + least-backlog dispatcher, reporting the
-``queue_delay + service`` latency split, per-worker utilization and the
-sustained req/Mcycle under load).
+The record carries two sections: **offline** (the whole batch arriving
+at cycle 0) and **online** (the same workload replayed as
+arrival-driven traffic).  Both run through the FIFO admission queue +
+least-backlog dispatcher and report the ``queue_delay + service``
+latency split and per-worker utilization; online adds the sustained
+req/Mcycle under load.
 
 With ``--faults`` the record gains a third section, **online_faults**:
 the same traffic replayed under a seeded fault plan

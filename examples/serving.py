@@ -9,9 +9,11 @@ prints the aggregate throughput/latency report plus a per-request trace.
 The same batch is then replayed *online*: a seeded Poisson process
 stamps each request with an arrival cycle, and the dispatcher admits
 them through a FIFO queue in simulated time, routing each to the worker
-with the smallest actual cycle backlog.  The online report splits
-end-to-end latency into queue delay + service and shows per-worker
-utilization — the queueing view the offline batch report cannot give.
+with the smallest cycle backlog — the same loop the offline batch ran,
+with every arrival at cycle 0.  Both reports split end-to-end latency
+into queue delay + service and show per-worker utilization; online,
+the queue delay measures the offered load instead of the batch's own
+backlog.
 
 Finally the batch is replayed once more under a seeded *fault plan*
 (kernel kills, latency spikes and a worker crash): failed attempts back

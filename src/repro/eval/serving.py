@@ -1,21 +1,18 @@
 """Aggregate serving metrics: throughput, latency, queueing, availability.
 
 A :class:`ServingReport` condenses one served batch into the numbers a
-capacity planner reads.  Both serving modes share the core fields —
-requests per second of harness wall-clock, simulated cycles per request,
-latency percentiles, the pool's simulated makespan and the derived
-requests per simulated megacycle — but they mean slightly different
-things per mode:
-
-* **offline** (``ServingEngine.serve``): latency is pure service time,
-  and the makespan is the slowest worker's accumulated cycles (requests
-  are all present at cycle 0);
-* **online** (``ServingEngine.serve_online``): requests arrive over
-  simulated time, so end-to-end latency splits into
-  ``queue_delay + service`` (reported as separate percentile blocks),
-  the makespan is the cycle the last request completes, and
-  ``requests_per_megacycle`` over that makespan is the pool's
-  *sustained* throughput under the offered load.
+capacity planner reads: requests per second of harness wall-clock,
+simulated cycles per request, latency percentiles, the pool's simulated
+makespan and the derived requests per simulated megacycle.  Both serving
+modes compute them the same way, from the simulated timeline the
+dispatch core stamps on every result: latency is end-to-end
+(``completion - arrival``) and splits into ``queue_delay + service``
+(reported as separate percentile blocks), and the makespan is the cycle
+the last request completes.  An offline batch (``ServingEngine.serve``)
+is every request arriving at cycle 0; online
+(``ServingEngine.serve_online``) requests arrive over simulated time,
+so ``requests_per_megacycle`` over the makespan is the pool's
+*sustained* throughput under the offered load.
 
 Latency percentiles cover **completed** requests (``ok`` +
 ``timed_out`` + ``corrupted`` — the last ran to completion with a
@@ -30,7 +27,7 @@ recall, escalation tallies).
 
 ``per_worker`` carries each worker's served count, busy cycles,
 utilization (busy / makespan — idle gaps between arrivals count against
-it in online mode) and its recovery/rebuild counters for the run.
+it) and its recovery/rebuild counters for the run.
 ``as_dict`` is JSON-clean; ``bench_serving.py`` persists both modes as
 the repo's serving-perf trajectory record.
 """
@@ -105,7 +102,7 @@ class ServingReport:
     traffic: Optional[str] = None
     #: canonical fault spec string (None = no injection)
     faults: Optional[str] = None
-    #: queueing split (online mode only): latency == queue_delay + service
+    #: queueing split: latency == queue_delay + service
     queue_delay_cycles: Optional[Dict[str, float]] = None
     service_cycles: Optional[Dict[str, float]] = None
     #: availability block: success rate, status counts, retries/failovers,
@@ -183,12 +180,12 @@ class ServingReport:
         }
         if self.mode == "online":
             record["traffic"] = self.traffic
-            record["queue_delay_cycles"] = {
-                k: round(v, 1) for k, v in (self.queue_delay_cycles or {}).items()
-            }
-            record["service_cycles"] = {
-                k: round(v, 1) for k, v in (self.service_cycles or {}).items()
-            }
+        record["queue_delay_cycles"] = {
+            k: round(v, 1) for k, v in (self.queue_delay_cycles or {}).items()
+        }
+        record["service_cycles"] = {
+            k: round(v, 1) for k, v in (self.service_cycles or {}).items()
+        }
         if self.replay is not None:
             record["replay"] = self.replay
         if self.autotune is not None:
@@ -250,7 +247,7 @@ class ServingReport:
             f"p90={lat.get('p90', 0):,.0f} p99={lat.get('p99', 0):,.0f} "
             f"max={lat.get('max', 0):,.0f}",
         ]
-        if self.mode == "online" and self.queue_delay_cycles is not None:
+        if self.queue_delay_cycles is not None:
             q = self.queue_delay_cycles
             lines.append(
                 f"  queue delay     : p50={q.get('p50', 0):,.0f} "
@@ -333,9 +330,9 @@ def build_serving_report(
 ) -> ServingReport:
     """Fold per-request results into one :class:`ServingReport`.
 
-    Offline latency is service time; online latency is end-to-end
-    (``completion - arrival``), with the queue-delay and service splits
-    reported alongside, and the makespan is the last completion cycle.
+    Latency is end-to-end (``completion - arrival``), with the
+    queue-delay and service splits reported alongside, and the makespan
+    is the last completion cycle, in every mode.
     Latency/throughput stats cover completed requests only; failed and
     shed requests are folded into the availability block.  ``health``
     carries the engine's injector/supervisor/worker-counter record.
@@ -346,57 +343,38 @@ def build_serving_report(
     for result in results:
         statuses[result.status] = statuses.get(result.status, 0) + 1
     completed = [r for r in results if r.status in ("ok", "timed_out", "corrupted")]
-    services = [r.sim_cycles for r in completed]
     per_kind: Dict[str, int] = {}
+    for result in results:
+        per_kind[result.kind] = per_kind.get(result.kind, 0) + 1
+
+    def idle() -> Dict[str, float]:
+        return {"served": 0, "busy_cycles": 0, "recoveries": 0, "rebuilds": 0}
+
     # seed every pool slot so idle workers report served=0 / 0% utilization
     # instead of silently vanishing from the record
-    per_worker: Dict[int, Dict[str, float]] = {
-        w: {"served": 0, "busy_cycles": 0, "recoveries": 0, "rebuilds": 0}
-        for w in range(pool_size)
-    }
+    per_worker: Dict[int, Dict[str, float]] = {w: idle() for w in range(pool_size)}
     if health is not None:
         for worker, counters in health.get("workers", {}).items():
-            stats = per_worker.setdefault(
-                worker, {"served": 0, "busy_cycles": 0, "recoveries": 0, "rebuilds": 0}
-            )
+            stats = per_worker.setdefault(worker, idle())
             stats["recoveries"] = counters.get("recoveries", 0)
             stats["rebuilds"] = counters.get("rebuilds", 0)
     breakdown = PhaseBreakdown()
-    for result in results:
-        per_kind[result.kind] = per_kind.get(result.kind, 0) + 1
-        if result.worker < 0 or result.status not in (
-            "ok", "timed_out", "corrupted"
-        ):
-            continue  # shed/failed results consumed no worker cycles
-        worker = per_worker.setdefault(
-            result.worker,
-            {"served": 0, "busy_cycles": 0, "recoveries": 0, "rebuilds": 0},
-        )
-        worker["served"] += 1
-        worker["busy_cycles"] += result.sim_cycles
+    for result in completed:  # shed/failed results consumed no worker cycles
+        stats = per_worker.setdefault(result.worker, idle())
+        stats["served"] += 1
+        stats["busy_cycles"] += result.sim_cycles
         breakdown.merge(result.breakdown)
 
-    queue_delays: Optional[Dict[str, float]] = None
-    service_stats: Optional[Dict[str, float]] = None
-    if mode == "online":
-        missing = [
-            r.request_id for r in completed
-            if r.latency_cycles is None or r.queue_delay_cycles is None
-        ]
-        if missing:
-            raise ValueError(
-                f"online report needs simulated timelines; requests {missing} "
-                "have none (were they served offline?)"
-            )
-        latencies = [r.latency_cycles for r in completed]
-        queue_delays = latency_stats([r.queue_delay_cycles for r in completed])
-        service_stats = latency_stats(services)
-        makespan = max((r.completion_cycle for r in completed), default=0)
-    else:
-        latencies = services
-        makespan = max(
-            (int(w["busy_cycles"]) for w in per_worker.values()), default=0
+    missing = [
+        r.request_id for r in completed
+        if r.latency_cycles is None or r.queue_delay_cycles is None
+    ]
+    if missing:
+        raise ValueError(
+            f"serving report needs simulated timelines; requests {missing} "
+            "have none (did they bypass the dispatch core?)"
         )
+    makespan = max((r.completion_cycle for r in completed), default=0)
     for stats in per_worker.values():
         stats["utilization"] = (
             stats["busy_cycles"] / makespan if makespan else 0.0
@@ -422,7 +400,7 @@ def build_serving_report(
         wall_seconds=wall_seconds,
         total_sim_cycles=sum(r.sim_cycles for r in results),
         makespan_cycles=makespan,
-        latency_cycles=latency_stats(latencies),
+        latency_cycles=latency_stats([r.latency_cycles for r in completed]),
         per_kind=per_kind,
         per_worker=per_worker,
         breakdown=breakdown,
@@ -430,8 +408,8 @@ def build_serving_report(
         mode=mode,
         traffic=traffic,
         faults=faults,
-        queue_delay_cycles=queue_delays,
-        service_cycles=service_stats,
+        queue_delay_cycles=latency_stats([r.queue_delay_cycles for r in completed]),
+        service_cycles=latency_stats([r.sim_cycles for r in completed]),
         availability=availability,
         requested_processes=requested_processes,
         admission=admission,

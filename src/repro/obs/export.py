@@ -66,8 +66,8 @@ def chrome_trace(report) -> Dict[str, Any]:
     recorder = getattr(report, "spans", None)
     if recorder is None:
         raise ValueError(
-            "report has no spans; run serve_online(..., observe=True) "
-            "to record a trace"
+            "report has no spans; run serve(..., observe=True) or "
+            "serve_online(..., observe=True) to record a trace"
         )
     pool_size = report.pool_size
     dispatcher_pid = pool_size
@@ -200,7 +200,7 @@ def render_timeline(report, width: int = 64) -> str:
     """
     timeline = getattr(report, "timeline", None)
     if not timeline:
-        return "(no timeline: run serve_online(..., observe=True))"
+        return "(no timeline: run serve or serve_online with observe=True)"
     # resample to at most `width` columns by taking the max over spans
     n = len(timeline)
     columns = min(width, n)

@@ -15,8 +15,8 @@ needs:
   :class:`~repro.sim.stats.Histogram` distributions reporting
   p50/p99/max without storing samples (latency within a window).
 
-:func:`build_timeline` derives one sample list for a whole online
-serving run from the dispatcher's event log and the per-request results
+:func:`build_timeline` derives one sample list for a whole serving
+run (offline or online) from the dispatcher's event log and the per-request results
 — post-hoc, so the serving hot loop is untouched and the instrumented
 run stays bit-identical to an un-instrumented one.  The sample schema is
 documented on :func:`build_timeline` and in the README; samples land in
@@ -168,7 +168,7 @@ def build_timeline(
     pool_size: int,
     interval_cycles: Optional[int] = None,
 ) -> List[Dict]:
-    """Fold an online serving run into a list of window samples.
+    """Fold a serving run into a list of window samples.
 
     Per window the sample carries (beyond ``window``/``start_cycle``/
     ``end_cycle``):

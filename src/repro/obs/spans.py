@@ -178,7 +178,7 @@ class SpanRecorder:
 def build_spans(
     events: Sequence, results: Sequence, health_events: Sequence[Dict]
 ) -> SpanRecorder:
-    """Fold one observed cycle-clock run (``OnlineEvent`` log, its results,
+    """Fold one observed run (``OnlineEvent`` log, its results,
     the supervisor's health log) into a :class:`SpanRecorder`.
 
     Walking the log in emission order gives span ids in decision order.

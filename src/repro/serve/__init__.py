@@ -32,9 +32,6 @@ from repro.eval.serving import (
 )
 from repro.serve.dispatch import (
     ADMISSION_POLICIES,
-    CLOCKS,
-    CYCLE_CLOCK,
-    SEQUENCE_CLOCK,
     AdmissionPolicy,
     DispatchCore,
     OnlineEvent,
@@ -86,14 +83,11 @@ from repro.serve.worker import SystemWorker
 __all__ = [
     "ADMISSION_POLICIES",
     "ALL_FAULT_KINDS",
-    "CLOCKS",
     "CORRUPTION_KINDS",
-    "CYCLE_CLOCK",
     "FAULT_KINDS",
     "INTEGRITY_POLICIES",
     "KINDS",
     "MODES",
-    "SEQUENCE_CLOCK",
     "STATUSES",
     "TRAFFIC_KINDS",
     "AdmissionPolicy",

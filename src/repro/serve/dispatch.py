@@ -1,17 +1,13 @@
 """The dispatch core: one scheduling loop for every serving mode.
 
 :class:`DispatchCore` is the only way a batch of requests runs — offline
-or online, serial or multi-process.  One event loop owns admission,
-worker selection, retry/failover, quarantine and deadlines,
-parameterized by three orthogonal pieces of data (the Exo/SYS_ATL
+or online, serial or multi-process.  One event loop, timed in simulated
+cycles, owns admission, least-backlog worker selection, retry/failover
+with simulated backoff, quarantine and deadlines.  An offline batch is
+the special case where every request arrives at cycle 0.  The loop is
+parameterized by two orthogonal pieces of data (the Exo/SYS_ATL
 scheduling-as-data idiom: one fixed algorithm, policies as values):
 
-* a **clock** — :data:`CYCLE_CLOCK` runs the loop in simulated cycles
-  (arrival-driven online serving: backlog-aware dispatch, simulated
-  backoff, deadlines, the request timeline); :data:`SEQUENCE_CLOCK`
-  runs it in dispatch-sequence order (offline batches: the engine's
-  operand-volume assignment is the preferred worker, retries are
-  immediate, no timeline);
 * an **admission policy** (:class:`AdmissionPolicy`) — ``fifo`` keeps
   strict arrival order; ``priority`` serves lower priority classes
   first; ``edf`` (earliest deadline first) and ``sjf`` (shortest job
@@ -62,11 +58,6 @@ from repro.serve.faults import (
 from repro.serve.request import InferenceRequest, RequestResult
 from repro.serve.worker import SystemWorker
 
-#: Clocks a :class:`DispatchCore` can run on.
-CYCLE_CLOCK = "cycles"
-SEQUENCE_CLOCK = "sequence"
-CLOCKS = (CYCLE_CLOCK, SEQUENCE_CLOCK)
-
 #: Event kinds recorded on the dispatch timeline.
 ARRIVAL = "arrival"
 DISPATCH = "dispatch"
@@ -79,9 +70,8 @@ SHED = "shed"
 class OnlineEvent(NamedTuple):
     """One entry in the dispatch event log, the loop's only record.
 
-    ``cycle`` is a simulated cycle under :data:`CYCLE_CLOCK` and the
-    dispatch sequence number under :data:`SEQUENCE_CLOCK` (matching the
-    :class:`~repro.serve.faults.WorkerSupervisor` convention).  The
+    ``cycle`` is a simulated cycle, as in the
+    :class:`~repro.serve.faults.WorkerSupervisor` health log.  The
     fields after ``worker`` carry what the folds over the log need:
     ``attempt`` and ``failover`` on dispatch and fail events;
     ``fault_class``, ``injected`` and ``rebuilt`` on fail events
@@ -267,8 +257,8 @@ class SerialPool:
         self.workers = {worker.index: worker for worker in workers}
 
     @property
-    def n_workers(self) -> int:
-        return len(self.workers)
+    def indices(self) -> List[int]:
+        return sorted(self.workers)
 
     def execute(
         self,
@@ -301,9 +291,6 @@ class SerialPool:
     def last_recovery(self, worker: int) -> Optional[Dict[str, Optional[str]]]:
         return self.workers[worker].last_recovery
 
-    def busy_cycles(self, worker: int) -> int:
-        return self.workers[worker].busy_cycles
-
     def health_snapshots(self) -> Dict[int, Dict[str, int]]:
         return {index: w.health_snapshot() for index, w in self.workers.items()}
 
@@ -326,7 +313,7 @@ SHARD_COMMANDS = (
 
 
 def _pool_shard_main(
-    conn, worker_indices, config, with_compiled, share_replay, integrity="off"
+    conn, worker_indices, config, share_replay, integrity="off"
 ) -> None:
     """Shard-process entry point: a :class:`SerialPool` over a subset of
     workers, serving forwarded :data:`SHARD_COMMANDS` by name.
@@ -346,7 +333,7 @@ def _pool_shard_main(
 
     fleet = FleetReplayCache() if share_replay else None
     pool = SerialPool([
-        SystemWorker(index, config, with_compiled, fleet=fleet, integrity=integrity)
+        SystemWorker(index, config, fleet=fleet, integrity=integrity)
         for index in worker_indices
     ])
     while True:
@@ -392,8 +379,8 @@ class ProcessPool:
     with the same method names (:data:`SHARD_COMMANDS`).  Execution is
     remote but every *decision* stays in the parent's dispatch core, so
     multi-process runs are bit-identical to serial ones.  The parent
-    mirrors per-worker busy cycles and the last recovery diagnostic from
-    replies, and relays fleet-cache recordings between shards (see
+    mirrors each worker's last recovery diagnostic from replies, and
+    relays fleet-cache recordings between shards (see
     :func:`_pool_shard_main`).
     """
 
@@ -402,7 +389,6 @@ class ProcessPool:
         pool_size: int,
         processes: int,
         config=None,
-        with_compiled: bool = True,
         share_replay: bool = False,
         integrity: str = "off",
     ) -> None:
@@ -415,7 +401,6 @@ class ProcessPool:
         self.share_replay = share_replay
         self.integrity = integrity
         self.shard_of = {w: w % processes for w in range(pool_size)}
-        self._busy = [0] * pool_size
         self._recovery: List[Optional[Dict[str, Optional[str]]]] = [None] * pool_size
         #: recordings published by other shards, awaiting the next command
         self._updates: List[list] = [[] for _ in range(processes)]
@@ -429,8 +414,7 @@ class ProcessPool:
             indices = [w for w in range(pool_size) if w % processes == p]
             proc = ctx.Process(
                 target=_pool_shard_main,
-                args=(child_conn, indices, config, with_compiled, share_replay,
-                      integrity),
+                args=(child_conn, indices, config, share_replay, integrity),
                 daemon=True,
             )
             proc.start()
@@ -439,8 +423,8 @@ class ProcessPool:
             self._procs.append(proc)
 
     @property
-    def n_workers(self) -> int:
-        return self.pool_size
+    def indices(self) -> List[int]:
+        return list(range(self.pool_size))
 
     def _distribute(self, shard: int, published: list, retractions: list) -> None:
         for other in range(self.processes):
@@ -499,13 +483,11 @@ class ProcessPool:
         directives: Sequence = (),
         bypass_fastpath: bool = False,
     ) -> RequestResult:
-        result = self._call(
+        return self._call(
             worker, "execute", request=request, attempt=attempt,
             observe=observe, slow_factor=slow_factor,
             directives=tuple(directives), bypass_fastpath=bypass_fastpath,
         )
-        self._busy[worker] += result.sim_cycles
-        return result
 
     def apply_injected(self, worker: int, error: ServingError) -> None:
         self._call(worker, "apply_injected", error=error)
@@ -525,9 +507,6 @@ class ProcessPool:
 
     def last_recovery(self, worker: int) -> Optional[Dict[str, Optional[str]]]:
         return self._recovery[worker]
-
-    def busy_cycles(self, worker: int) -> int:
-        return self._busy[worker]
 
     def _gather(self, command: str) -> Dict[int, Any]:
         merged: Dict[int, Any] = {}
@@ -571,15 +550,12 @@ class DispatchCore:
     """One event loop for offline and online serving, in every pool layout.
 
     The loop pops ``(ready, *rank, seq, attempt, position)`` entries off
-    a pending heap.  Under :data:`CYCLE_CLOCK` ``ready`` is the
-    request's arrival (or retry-backoff) cycle and dispatch goes to the
-    candidate with the smallest cycle backlog; under
-    :data:`SEQUENCE_CLOCK` ``ready`` is the dispatch sequence number,
-    the engine's operand-volume assignment is the first-attempt worker and
-    retries rebalance by accumulated busy cycles.  Faults, retry,
-    failover, quarantine, bounded admission and deadlines behave
-    identically on both clocks (deadlines and the simulated timeline
-    exist only in cycles).
+    a pending heap.  ``ready`` is the request's arrival (or
+    retry-backoff) cycle — 0 for every request of an offline batch — and
+    dispatch goes to the candidate with the smallest cycle backlog.
+    Faults, retry, failover, quarantine, bounded admission and deadlines
+    behave the same in every mode, and every result carries its
+    simulated timeline.
 
     The core draws every fault itself and mirrors worker-side effects
     through the backend, so the same decisions reach the same workers
@@ -590,12 +566,14 @@ class DispatchCore:
     (:func:`~repro.obs.metrics.build_timeline`) are folds over it.
     ``observe=True`` makes the backends collect per-launch records on
     each result, stamped with their absolute cycle windows.
+
+    The core addresses workers ``0..n-1`` by position, so the backend's
+    worker indices must be exactly that range.
     """
 
     def __init__(
         self,
         backend,
-        clock: str = CYCLE_CLOCK,
         admission=None,
         injector: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
@@ -603,14 +581,15 @@ class DispatchCore:
         queue_capacity: Optional[int] = None,
         observe: bool = False,
     ) -> None:
-        if clock not in CLOCKS:
-            raise ValueError(f"unknown clock {clock!r}; expected one of {CLOCKS}")
         if queue_capacity is not None and queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 (or None for unbounded)")
-        if backend.n_workers < 1:
-            raise ValueError("dispatch needs at least one worker")
+        indices = list(backend.indices)
+        if not indices or indices != list(range(len(indices))):
+            raise ValueError(
+                f"dispatch needs workers indexed 0..n-1; the backend has "
+                f"worker indices {indices}"
+            )
         self.backend = backend
-        self.clock = clock
         self.admission = AdmissionPolicy.coerce(admission)
         self.injector = injector
         self.retry = retry or RetryPolicy()
@@ -618,7 +597,7 @@ class DispatchCore:
         self.queue_capacity = queue_capacity
         self.observe = observe
         #: cycle at which each worker drains all dispatched work
-        self.free_at = [0] * backend.n_workers
+        self.free_at = [0] * len(indices)
         #: chronological event log (arrival/dispatch/completion/fail/retry/shed)
         self.events: List[OnlineEvent] = []
 
@@ -631,33 +610,15 @@ class DispatchCore:
         if self.supervisor is not None:
             ready = self.supervisor.available(now)
         else:
-            ready = list(range(self.backend.n_workers))
+            ready = list(range(len(self.free_at)))
         if avoid is not None and self.retry.failover:
             others = [w for w in ready if w != avoid]
             if others:
                 return others
         return ready
 
-    def _select_worker(
-        self,
-        ready: int,
-        attempt: int,
-        candidates: List[int],
-        preferred: Optional[int],
-        avoid: Optional[int],
-    ) -> int:
-        if self.clock == CYCLE_CLOCK:
-            return min(candidates, key=lambda w: (self.backlog(w, ready), w))
-        # sequence clock: honour the precomputed assignment on the first
-        # attempt, rebalance retries by accumulated busy cycles
-        if attempt == 1 and preferred is not None and preferred in candidates:
-            return preferred
-        pool = candidates
-        if avoid is not None and self.retry.failover:
-            others = [w for w in candidates if w != avoid]
-            if others:
-                pool = others
-        return min(pool, key=lambda w: (self.backend.busy_cycles(w), w))
+    def _least_backlog(self, now: int, candidates: List[int]) -> int:
+        return min(candidates, key=lambda w: (self.backlog(w, now), w))
 
     def _attempt(
         self,
@@ -695,29 +656,13 @@ class DispatchCore:
             return None, error
         return result, None
 
-    def run(
-        self,
-        requests: Sequence[InferenceRequest],
-        preferred: Optional[Sequence[int]] = None,
-    ) -> List[RequestResult]:
-        """Serve every request; results in input order.
-
-        ``preferred`` (sequence clock only) is each request's preferred
-        worker from the engine's operand-volume assignment, honoured on
-        first attempts.
-        """
+    def run(self, requests: Sequence[InferenceRequest]) -> List[RequestResult]:
+        """Serve every request; results in input order."""
         requests = list(requests)
-        cycles = self.clock == CYCLE_CLOCK
-        if cycles:
-            admission = sorted(
-                ((request.arrival_cycle, position)
-                 for position, request in enumerate(requests)),
-                key=lambda entry: entry[:2],
-            )
-        else:
-            # offline: ready == seq == submission position, so the heap
-            # replays the batch in assignment order with immediate retries
-            admission = [(position, position) for position in range(len(requests))]
+        admission = sorted(
+            (request.arrival_cycle, position)
+            for position, request in enumerate(requests)
+        )
         rank_of = [self.admission.rank(request) for request in requests]
         # the pending heap orders (ready, *rank, seq); retries re-enter
         # with a fresh seq so ties within a rank stay deterministic
@@ -772,8 +717,7 @@ class DispatchCore:
                         request, "shed",
                         f"admission queue full ({depth} waiting, capacity "
                         f"{self.queue_capacity}) at cycle {ready}",
-                        attempts=attempt,
-                        arrival_cycle=request.arrival_cycle if cycles else None,
+                        attempts=attempt, arrival_cycle=request.arrival_cycle,
                         fault_class="queue_full",
                     )
                     continue
@@ -788,24 +732,13 @@ class DispatchCore:
                 if sticky in candidates:
                     worker = sticky
                 else:
-                    worker = self._select_worker(
-                        ready, attempt, candidates, None, avoid
-                    )
+                    worker = self._least_backlog(ready, candidates)
             else:
-                candidates = self._candidates(ready, avoid)
-                worker = self._select_worker(
-                    ready, attempt, candidates,
-                    preferred[position] if preferred is not None else None,
-                    avoid,
-                )
-            start = max(ready, self.free_at[worker]) if cycles else ready
+                worker = self._least_backlog(ready, self._candidates(ready, avoid))
+            start = max(ready, self.free_at[worker])
             # deadline-aware load shedding: don't burn cycles on a request
             # whose queue delay already blew its deadline
-            if (
-                cycles
-                and request.deadline_cycle is not None
-                and start > request.deadline_cycle
-            ):
+            if request.deadline_cycle is not None and start > request.deadline_cycle:
                 events.append(OnlineEvent(ready, SHED, rid, cause="deadline"))
                 results[position] = RequestResult.failure(
                     request, "shed",
@@ -815,7 +748,7 @@ class DispatchCore:
                     fault_class="deadline",
                 )
                 continue
-            if cycles and not self.admission.immediate and start > ready:
+            if not self.admission.immediate and start > ready:
                 # deferring policy: wait until the earliest candidate
                 # frees; by then the rank re-orders everything queued
                 heapq.heappush(
@@ -837,7 +770,7 @@ class DispatchCore:
                     corrupted.add(position)
                     sticky_retry[position] = worker
                 if error.retryable and attempt < self.retry.max_attempts:
-                    retry_at = ready + self.retry.backoff(attempt) if cycles else ready
+                    retry_at = ready + self.retry.backoff(attempt)
                     events.append(OnlineEvent(ready, RETRY, rid, worker))
                     heapq.heappush(
                         pending,
@@ -850,7 +783,7 @@ class DispatchCore:
                         request, "failed",
                         "; ".join(attempt_errors.get(position, [])),
                         worker=worker, attempts=attempt,
-                        arrival_cycle=request.arrival_cycle if cycles else None,
+                        arrival_cycle=request.arrival_cycle,
                         fault_class=error.fault_class,
                     )
                 continue
@@ -860,18 +793,12 @@ class DispatchCore:
             if attempt_errors.get(position):
                 # succeeded after retries: keep the failure history around
                 result.error = "; ".join(attempt_errors[position])
-            if cycles:
-                completion = start + result.sim_cycles
-                result.arrival_cycle = request.arrival_cycle
-                result.start_cycle = start
-                result.completion_cycle = completion
-                if (
-                    request.deadline_cycle is not None
-                    and completion > request.deadline_cycle
-                ):
-                    result.status = "timed_out"
-            else:
-                completion = ready
+            completion = start + result.sim_cycles
+            result.arrival_cycle = request.arrival_cycle
+            result.start_cycle = start
+            result.completion_cycle = completion
+            if request.deadline_cycle is not None and completion > request.deadline_cycle:
+                result.status = "timed_out"
             # launches lie back-to-back from the service start (the worker
             # executes them serially); stamp the absolute window on each
             # record for the launch spans and the rolling metrics
@@ -879,10 +806,9 @@ class DispatchCore:
             for launch in result.launches:
                 launch["start_cycle"] = cursor
                 cursor = launch["end_cycle"] = cursor + launch["cycles"]
-            if cycles:
-                self.free_at[worker] = completion
-                if self.queue_capacity is not None:
-                    heapq.heappush(waiting_starts, start)
+            self.free_at[worker] = completion
+            if self.queue_capacity is not None:
+                heapq.heappush(waiting_starts, start)
             events.append(OnlineEvent(ready, DISPATCH, rid, worker, attempt, failover))
             heapq.heappush(completions, (completion, position, rid, worker))
             results[position] = result

@@ -6,16 +6,18 @@ over a pool of long-lived, reusable
 layer the ROADMAP's "serve heavy traffic" north-star asks for, built on
 the lifecycle guarantees of ``ArcaneSystem.reset_heap()``.  Both serving
 modes are thin frontends over one driver that runs the
-:class:`~repro.serve.dispatch.DispatchCore`:
+:class:`~repro.serve.dispatch.DispatchCore` in simulated cycles, and
+they differ only in how arrivals are stamped:
 
-* **offline** (:meth:`ServingEngine.serve`) assigns every request a
-  preferred worker up front, balancing estimated load by operand volume
-  (as a front-end load balancer would), and runs the core on the
-  dispatch-sequence clock (immediate retries, no simulated timeline);
+* **offline** (:meth:`ServingEngine.serve`) stamps every request at
+  arrival cycle 0 — the whole batch is waiting when the simulation
+  starts;
 * **online** (:meth:`ServingEngine.serve_online`) replays seeded request
-  arrivals in simulated time on the cycle clock: admission-policy
-  ordering (FIFO / priority / EDF / SJF), least-backlog dispatch,
-  simulated retry backoff, deadlines and load shedding;
+  arrivals in simulated time;
+* in both, the core applies admission-policy ordering (FIFO / priority
+  / EDF / SJF), least-backlog dispatch, simulated retry backoff,
+  deadlines and load shedding, and every result carries its simulated
+  timeline (queue delay + service);
 * **fault tolerance** works in every mode and pool layout: the core
   draws each seeded fault itself (hashing ``(fault_seed, request_id,
   attempt)``) and mirrors the decision to the worker's owning backend,
@@ -58,8 +60,6 @@ from repro.integrity.inject import CORRUPTION_KINDS
 from repro.obs.metrics import build_timeline
 from repro.obs.spans import build_spans
 from repro.serve.dispatch import (
-    CYCLE_CLOCK,
-    SEQUENCE_CLOCK,
     AdmissionPolicy,
     DispatchCore,
     ProcessPool,
@@ -124,7 +124,6 @@ class ServingEngine:
         self,
         pool_size: int = 2,
         config: Optional[ArcaneConfig] = None,
-        with_compiled: bool = True,
         processes: int = 1,
         admission: Union[str, AdmissionPolicy, None] = "fifo",
         share_replay: bool = False,
@@ -137,7 +136,6 @@ class ServingEngine:
             raise ValueError("processes must be >= 1")
         self.pool_size = pool_size
         self.config = config
-        self.with_compiled = with_compiled
         self.admission = AdmissionPolicy.coerce(admission)
         self.share_replay = share_replay
         self.integrity = coerce_policy(integrity)
@@ -173,10 +171,7 @@ class ServingEngine:
         if self.processes == 1:
             fleet = FleetReplayCache() if share_replay else None
             self._workers = [
-                SystemWorker(
-                    i, config, with_compiled, fleet=fleet,
-                    integrity=self.integrity,
-                )
+                SystemWorker(i, config, fleet=fleet, integrity=self.integrity)
                 for i in range(pool_size)
             ]
             self._backend = SerialPool(self._workers)
@@ -258,7 +253,7 @@ class ServingEngine:
         """
         if self._backend is None:
             self._backend = ProcessPool(
-                self.pool_size, self.processes, self.config, self.with_compiled,
+                self.pool_size, self.processes, self.config,
                 share_replay=self.share_replay, integrity=self.integrity,
             )
         return self._backend
@@ -273,42 +268,6 @@ class ServingEngine:
             self.close()
         except Exception:
             pass
-
-    # -- scheduling -----------------------------------------------------------
-
-    def _assign(self, requests: Sequence[InferenceRequest]) -> List[int]:
-        """Each request's preferred worker, chosen before execution.
-
-        Balances *estimated* load by operand volume (requests are
-        assigned before they run, as a front-end load balancer would).
-        """
-        assignments: List[int] = []
-        load = [0] * self.pool_size
-        for request in requests:
-            worker = min(range(self.pool_size), key=lambda w: (load[w], w))
-            load[worker] += self._estimate_cost(request)
-            assignments.append(worker)
-        return assignments
-
-    @staticmethod
-    def _estimate_cost(request: InferenceRequest) -> int:
-        """Cheap load proxy: total operand elements touched."""
-        payload = request.payload
-
-        def size(array: np.ndarray) -> int:
-            return int(np.asarray(array).size)
-
-        if request.kind == "gemm":
-            return size(payload["a"]) + size(payload["b"]) + size(payload["c"])
-        if request.kind == "conv_layer":
-            return size(payload["image"]) + size(payload["filters"])
-        if request.kind == "kernel":
-            return sum(size(m) for m in payload["inputs"])
-        if request.kind == "graph":
-            return sum(size(m) for m in payload["inputs"].values()) + sum(
-                node.out_shape[0] * node.out_shape[1] for node in payload["nodes"]
-            )
-        return 1
 
     # -- serving --------------------------------------------------------------
 
@@ -409,8 +368,17 @@ class ServingEngine:
         faults: Optional[Union[str, FaultPlan]] = None,
         fault_seed: int = 0,
         retry: Optional[RetryPolicy] = None,
+        queue_capacity: Optional[int] = None,
+        observe: bool = False,
+        metrics_interval: Optional[int] = None,
     ) -> ServingReport:
         """Run every request as an offline batch, return the aggregate report.
+
+        The batch is the online loop with every request stamped at arrival
+        cycle 0: the report splits latency into ``queue_delay + service``
+        cycles, and admission policies, ``queue_capacity``, per-request
+        ``deadline_cycle`` stamps and ``observe`` (span trees, Perfetto
+        export, timeline) behave as in :meth:`serve_online`.
 
         Per-request results (with outputs) are kept on ``report.results``;
         with ``verify=True`` (or ``verify="strict"``) every completed
@@ -422,8 +390,8 @@ class ServingEngine:
         corruption.
 
         A request that fails does **not** abort the batch: retryable
-        failures are retried (immediately, failing over to a different
-        worker) up to ``retry.max_attempts``, and exhausted or
+        failures are retried (after a simulated backoff, failing over to a
+        different worker) up to ``retry.max_attempts``, and exhausted or
         non-retryable failures become ``status="failed"`` results.  A
         ``faults`` spec (e.g. ``"kill:0.1"``, see
         :meth:`~repro.serve.faults.FaultPlan.parse`) injects seeded
@@ -431,7 +399,11 @@ class ServingEngine:
         are drawn in the dispatch core, so multi-process runs are
         bit-identical to serial ones.
         """
-        return self._serve(requests, SEQUENCE_CLOCK, verify, faults, fault_seed, retry)
+        batch = [dataclasses.replace(request, arrival_cycle=0) for request in requests]
+        return self._serve(
+            batch, "offline", None, verify, faults, fault_seed, retry,
+            queue_capacity, observe, metrics_interval,
+        )
 
     @staticmethod
     def _validate_mode(verify: Union[bool, str]) -> Optional[str]:
@@ -567,9 +539,9 @@ class ServingEngine:
         :class:`~repro.serve.traffic.TrafficSpec`), requests are stamped
         with seeded arrival cycles first; without it, each request's own
         ``arrival_cycle`` is replayed as-is.  The pool then runs the
-        dispatch core on the cycle clock — admission-policy ordering
-        (the engine's ``admission``: FIFO by default), least-backlog
-        dispatch — and the report splits each request's end-to-end
+        dispatch core — admission-policy ordering (the engine's
+        ``admission``: FIFO by default), least-backlog dispatch — and
+        the report splits each request's end-to-end
         latency into ``queue_delay + service`` cycles, with per-worker
         utilization over the simulated makespan.
 
@@ -598,45 +570,35 @@ class ServingEngine:
         host-side bookkeeping: outputs and cycle counts are bit-identical
         with ``observe=False``.
         """
-        spec: Optional[TrafficSpec] = None
+        described = "replay"
         if traffic is not None:
             spec = traffic if isinstance(traffic, TrafficSpec) else TrafficSpec.parse(traffic)
+            requests = stamp_arrivals(requests, spec, seed)
+            described = spec.describe()
         return self._serve(
-            requests, CYCLE_CLOCK, verify, faults, fault_seed, retry, spec=spec,
-            seed=seed, queue_capacity=queue_capacity, observe=observe,
-            metrics_interval=metrics_interval,
+            requests, "online", described, verify, faults, fault_seed, retry,
+            queue_capacity, observe, metrics_interval,
         )
 
     def _serve(
         self,
         requests: Sequence[InferenceRequest],
-        clock: str,
+        mode: str,
+        traffic: Optional[str],
         verify: Union[bool, str],
         faults: Optional[Union[str, FaultPlan]],
         fault_seed: int,
         retry: Optional[RetryPolicy],
-        spec: Optional[TrafficSpec] = None,
-        seed: int = 0,
-        queue_capacity: Optional[int] = None,
-        observe: bool = False,
-        metrics_interval: Optional[int] = None,
+        queue_capacity: Optional[int],
+        observe: bool,
+        metrics_interval: Optional[int],
     ) -> ServingReport:
-        """The one serving driver: run the dispatch core on ``clock`` and
-        fold its results and event log into the report.
-
-        On the cycle clock (online) requests are stamped with ``spec``
-        arrivals when given; on the sequence clock (offline) each request
-        prefers its operand-volume assignment on the first attempt.
-        """
+        """The one serving driver: run the dispatch core over requests
+        whose arrivals are already stamped and fold its results and
+        event log into the report."""
         requests = list(requests)
         self._check_unique_ids(requests)
         self._autotune_requests(requests)
-        online = clock == CYCLE_CLOCK
-        preferred = None
-        if not online:
-            preferred = self._assign(requests)
-        elif spec is not None:
-            requests = stamp_arrivals(requests, spec, seed)
         plan = FaultPlan.coerce(faults)
         injector = FaultInjector(plan, fault_seed) if plan else None
         supervisor = WorkerSupervisor(self.pool_size)
@@ -644,14 +606,14 @@ class ServingEngine:
         before = backend.health_snapshots()
         replay_before = backend.replay_stats()
         core = DispatchCore(
-            backend, clock=clock, admission=self.admission,
+            backend, admission=self.admission,
             injector=injector, retry=retry, supervisor=supervisor,
             queue_capacity=queue_capacity, observe=observe,
         )
         # wall time covers serving on a ready pool in every layout: the
         # serial pool is built in __init__, process shards on first use
         start = time.perf_counter()
-        results = core.run(requests, preferred=preferred)
+        results = core.run(requests)
         wall = time.perf_counter() - start
         # spans carry the loop's statuses: fold before validation re-labels
         spans = None
@@ -664,12 +626,10 @@ class ServingEngine:
             verified = self._verify_outputs(requests, results, validate=validated)
 
         health = self._collect_health(injector, supervisor, core.events, before)
-        # ``policy`` names the one offline assignment rule (_assign)
+        # ``policy`` names the one dispatch rule (least backlog)
         report = build_serving_report(
             results, self.pool_size, self.processes, "least_loaded", wall, verified,
-            mode="online" if online else "offline",
-            traffic=(spec.describe() if spec else "replay") if online else None,
-            faults=plan.describe() if plan else None, health=health,
+            mode=mode, traffic=traffic, faults=plan.describe() if plan else None, health=health,
             requested_processes=self.requested_processes,
             admission=self.admission.kind,
         )

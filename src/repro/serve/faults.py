@@ -408,7 +408,7 @@ class RetryPolicy:
 
     ``max_attempts`` counts the first try; ``backoff_cycles`` is the
     simulated-cycle delay before attempt 2, doubling per further attempt
-    (online path — offline retries are immediate).  With ``failover``
+    (offline and online alike).  With ``failover``
     a retry prefers a different worker than the one that just failed.
     """
 
@@ -449,8 +449,7 @@ class WorkerSupervisor:
     system is rebuilt by the engine), after which it enters *probation*
     — dispatchable again, reinstated as healthy by its first success,
     re-quarantined immediately by a failure.  ``cycle`` in the event log
-    is a simulated cycle online and the dispatch sequence number
-    offline.
+    is a simulated cycle in every serving mode.
     """
 
     def __init__(

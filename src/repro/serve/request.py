@@ -77,16 +77,17 @@ class InferenceRequest:
     """One independent inference job for the serving engine.
 
     ``arrival_cycle`` places the request in the pool's simulated-cycle
-    domain for online serving (:meth:`ServingEngine.serve_online`); the
-    offline path ignores it.  Traffic processes in
+    domain for online serving (:meth:`ServingEngine.serve_online`);
+    offline serving (:meth:`ServingEngine.serve`) stamps every request
+    at 0.  Traffic processes in
     :mod:`repro.serve.traffic` stamp it; the default of 0 means "already
     waiting when the simulation starts".
 
     ``deadline_cycle`` is an *absolute* simulated cycle by which the
-    request must complete (``None`` = no deadline).  The online
-    dispatcher sheds the request if its projected start would already
-    miss the deadline, and marks it ``timed_out`` if it completes late;
-    the offline path ignores deadlines.  Stamp relative budgets after
+    request must complete (``None`` = no deadline).  The dispatch core
+    sheds the request if its projected start would already miss the
+    deadline, and marks it ``timed_out`` if it completes late, in every
+    serving mode.  Stamp relative budgets after
     arrivals with :func:`repro.serve.traffic.stamp_deadlines`.
 
     ``priority`` is the request's admission class for the dispatch
@@ -193,11 +194,11 @@ class RequestResult:
     """The serving engine's answer for one request.
 
     ``sim_cycles`` is always the *service* time (cycles the assigned
-    system spent executing the request).  In online mode the dispatcher
-    also fills the simulated timeline — ``arrival_cycle``,
-    ``start_cycle``, ``completion_cycle`` — from which the queueing
-    split derives: ``queue_delay_cycles + sim_cycles ==
-    latency_cycles`` per request.  Offline results leave the timeline
+    system spent executing the request).  The dispatch core also fills
+    the simulated timeline — ``arrival_cycle``, ``start_cycle``,
+    ``completion_cycle`` — from which the queueing split derives:
+    ``queue_delay_cycles + sim_cycles == latency_cycles`` per request.
+    A result straight from :meth:`SystemWorker.run` leaves the timeline
     ``None``.
 
     ``status`` is the request's lifecycle outcome (one of
@@ -231,7 +232,7 @@ class RequestResult:
     #: per-kernel-launch observability records (observe=True only): dicts
     #: with ``kernel_id``/``name``/``cycles``/``replay`` — the replay tag
     #: is hit/miss/bypassed, or "off" when the fast path is disabled.
-    #: The online dispatcher stamps absolute ``start_cycle``/``end_cycle``
+    #: The dispatch core stamps absolute ``start_cycle``/``end_cycle``
     #: once the request's place on the timeline is known.
     launches: List[Dict[str, Any]] = field(default_factory=list, repr=False)
     #: integrity verdict details when a policy other than ``off`` ran (or
@@ -285,14 +286,14 @@ class RequestResult:
 
     @property
     def queue_delay_cycles(self) -> Optional[int]:
-        """Cycles spent waiting in queue before service began (online)."""
+        """Cycles spent waiting in queue before service began."""
         if self.start_cycle is None or self.arrival_cycle is None:
             return None
         return self.start_cycle - self.arrival_cycle
 
     @property
     def latency_cycles(self) -> Optional[int]:
-        """End-to-end simulated latency: arrival to completion (online)."""
+        """End-to-end simulated latency: arrival to completion."""
         if self.completion_cycle is None or self.arrival_cycle is None:
             return None
         return self.completion_cycle - self.arrival_cycle

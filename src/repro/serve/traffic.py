@@ -4,7 +4,7 @@ Offline serving hands the engine a batch that exists all at once; online
 serving needs *traffic*: each :class:`~repro.serve.request.InferenceRequest`
 carries an ``arrival_cycle`` in the same simulated-cycle domain the
 ARCANE systems are timed in, and the
-:class:`~repro.serve.dispatch.DispatchCore`, on its cycle clock, replays
+:class:`~repro.serve.dispatch.DispatchCore` replays
 those arrivals against the pool.  This module generates the arrival
 stamps:
 

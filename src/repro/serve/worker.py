@@ -51,13 +51,11 @@ class SystemWorker:
         self,
         index: int = 0,
         config: Optional[ArcaneConfig] = None,
-        with_compiled: bool = True,
         fleet=None,
         integrity: str = "off",
     ) -> None:
         self.index = index
         self.config = config or ArcaneConfig()
-        self.with_compiled = with_compiled
         #: shared fleet replay cache (:class:`repro.serve.fleet.FleetReplayCache`)
         #: the worker's replay cache publishes to / adopts from; ``None``
         #: keeps replay strictly per-system
@@ -69,12 +67,8 @@ class SystemWorker:
         #: purpose (the ledger describes *payloads*, not this silicon)
         self.ledger = DigestLedger() if self.integrity != "off" else None
         self.system = ArcaneSystem(self.config)
-        if with_compiled:
-            install_compiled(self.system.llc.runtime.library)
+        install_compiled(self.system.llc.runtime.library)
         self._attach_fleet()
-        #: accumulated simulated cycles served (pool-balance telemetry;
-        #: scheduling itself assigns up front from operand volume)
-        self.busy_cycles = 0
         self.served = 0
         #: failed attempts this worker has seen (injected or organic)
         self.failures = 0
@@ -217,7 +211,6 @@ class SystemWorker:
         breakdown = PhaseBreakdown()
         for report in reports:
             breakdown.merge(report.breakdown)
-        self.busy_cycles += sim_cycles
         self.served += 1
         if surface.events:
             # what actually fired on the machine (diagnostics): attached
@@ -256,8 +249,7 @@ class SystemWorker:
     def rebuild(self) -> None:
         """Replace the simulation universe with a fresh one (counted)."""
         self.system = ArcaneSystem(self.config)
-        if self.with_compiled:
-            install_compiled(self.system.llc.runtime.library)
+        install_compiled(self.system.llc.runtime.library)
         self._attach_fleet()
         for name, (recipe_json, slot) in self._recipe_overrides.items():
             self._register_recipe(name, recipe_json, slot)

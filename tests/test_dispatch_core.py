@@ -9,16 +9,21 @@ kernels they never launched first.
 
 import json
 import pathlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.config import ArcaneConfig
+from repro.obs import chrome_trace, validate_trace
 from repro.serve import (
     AdmissionPolicy,
+    DispatchCore,
     RetryPolicy,
+    SerialPool,
     ServingEngine,
+    SystemWorker,
     estimate_service_cycles,
     gemm_request,
     kernel_request,
@@ -132,7 +137,7 @@ class TestSerialMultiprocessEquivalence:
         )
         assert_reports_identical(serial, parallel)
 
-    def test_offline_static_fast_path(self, rng):
+    def test_offline_fault_free_verified(self, rng):
         serial, parallel = serve_pair(
             gemm_batch(rng, 6), pool_size=3, online=False, verify=True,
         )
@@ -155,6 +160,59 @@ class TestSerialMultiprocessEquivalence:
         assert serial.events() == parallel.events()
         assert serial.availability["failed_attempts_by_class"] == {"rejected": 6}
         assert [r.status for r in serial.results] == ["ok", "failed"] * 6
+
+
+class TestOfflineIsArrivalsAtZero:
+    """An offline batch is the online loop with every arrival at cycle 0:
+    the same decisions, timelines, event log, spans and trace export."""
+
+    def test_serve_equals_serve_online_at_cycle_zero(self, rng):
+        batch = gemm_batch(rng, 10)
+        kwargs = dict(faults="kill:0.2,transient:0.2", fault_seed=4, observe=True)
+        offline = ServingEngine(pool_size=2, config=CFG, integrity="abft").serve(
+            batch, **kwargs
+        )
+        online = ServingEngine(
+            pool_size=2, config=CFG, integrity="abft"
+        ).serve_online(batch, **kwargs)
+        assert any(r.attempts > 1 for r in offline.results)
+        for a, b in zip(offline.results, online.results):
+            assert (a.status, a.worker, a.attempts, a.sim_cycles) \
+                == (b.status, b.worker, b.attempts, b.sim_cycles)
+            assert (a.arrival_cycle, a.start_cycle, a.completion_cycle) \
+                == (b.arrival_cycle, b.start_cycle, b.completion_cycle)
+            assert a.arrival_cycle == 0
+            if a.output is None:
+                assert b.output is None
+            else:
+                assert np.array_equal(a.output, b.output)
+        assert offline.dispatch_events == online.dispatch_events
+        assert [s.as_dict() for s in offline.spans.spans] \
+            == [s.as_dict() for s in online.spans.spans]
+        assert offline.spans.instants == online.spans.instants
+        trace = chrome_trace(offline)
+        assert trace == chrome_trace(online)
+        assert validate_trace(trace) == []
+        a_dict = strip_wall(offline.as_dict())
+        b_dict = strip_wall(online.as_dict())
+        assert (a_dict.pop("mode"), b_dict.pop("mode")) == ("offline", "online")
+        assert b_dict.pop("traffic") == "replay" and "traffic" not in a_dict
+        assert a_dict == b_dict
+
+
+class TestBackendIndices:
+    """The core addresses workers 0..n-1 by position."""
+
+    @pytest.mark.parametrize("indices", [[5], [1, 3]])
+    def test_backend_without_positional_indices_rejected(self, indices):
+        pool = SerialPool([SystemWorker(index, CFG) for index in indices])
+        with pytest.raises(ValueError, match=re.escape(f"worker indices {indices}")):
+            DispatchCore(pool)
+
+    def test_positional_indices_accepted(self, rng):
+        pool = SerialPool([SystemWorker(index, CFG) for index in (1, 0)])
+        results = DispatchCore(pool).run(gemm_batch(rng, 2))
+        assert [r.worker for r in results] == [0, 1]
 
 
 class TestFleetReplayCache:

@@ -62,7 +62,7 @@ STREAM_RUNS = {
         pool_size=2, traffic="bursty:4:15000", budget=25000,
         faults="transient:0.1", admission="edf",
     ),
-    # offline batch on the sequence clock (no spans)
+    # offline batch: every arrival at cycle 0 (no spans)
     "offline_kill": dict(pool_size=2, faults="kill:0.2", offline=True),
 }
 

@@ -189,7 +189,7 @@ class TestWorkerLifecycle:
             assert np.array_equal(result.output, expected_output(request))
             assert worker.system.heap_stats()["live_matrices"] == 0
         assert worker.served == 3
-        assert worker.busy_cycles > 0
+        assert result.sim_cycles > 0
 
     def test_worker_resets_even_on_failure(self, rng):
         from repro.serve import RequestRejected
@@ -267,11 +267,13 @@ class TestReportInvariants:
             build_serving_report([], 1, 1, "least_loaded", 0.0, mode="sideways")
 
     def test_online_report_requires_timelines(self, rng):
-        engine = ServingEngine(pool_size=1, config=CFG)
-        offline = engine.serve(mixed_requests(rng, 2))
-        with pytest.raises(ValueError, match="needs simulated timelines"):
-            build_serving_report(offline.results, 1, 1, "least_loaded", 0.0,
-                                 mode="online")
+        """Only the dispatch core stamps timelines: results straight from
+        a worker have none, and a report over them (in any mode) raises."""
+        worker = SystemWorker(0, CFG)
+        bare = [worker.run(request) for request in mixed_requests(rng, 2)]
+        for mode in ("offline", "online"):
+            with pytest.raises(ValueError, match="needs simulated timelines"):
+                build_serving_report(bare, 1, 1, "least_loaded", 0.0, mode=mode)
 
 
 class TestTraffic:
