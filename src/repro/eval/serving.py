@@ -343,26 +343,34 @@ def build_serving_report(
     for result in results:
         statuses[result.status] = statuses.get(result.status, 0) + 1
     completed = [r for r in results if r.status in ("ok", "timed_out", "corrupted")]
+    services = [r.sim_cycles for r in completed]
     per_kind: Dict[str, int] = {}
-    for result in results:
-        per_kind[result.kind] = per_kind.get(result.kind, 0) + 1
-
-    def idle() -> Dict[str, float]:
-        return {"served": 0, "busy_cycles": 0, "recoveries": 0, "rebuilds": 0}
-
     # seed every pool slot so idle workers report served=0 / 0% utilization
     # instead of silently vanishing from the record
-    per_worker: Dict[int, Dict[str, float]] = {w: idle() for w in range(pool_size)}
+    per_worker: Dict[int, Dict[str, float]] = {
+        w: {"served": 0, "busy_cycles": 0, "recoveries": 0, "rebuilds": 0}
+        for w in range(pool_size)
+    }
     if health is not None:
         for worker, counters in health.get("workers", {}).items():
-            stats = per_worker.setdefault(worker, idle())
+            stats = per_worker.setdefault(
+                worker, {"served": 0, "busy_cycles": 0, "recoveries": 0, "rebuilds": 0}
+            )
             stats["recoveries"] = counters.get("recoveries", 0)
             stats["rebuilds"] = counters.get("rebuilds", 0)
     breakdown = PhaseBreakdown()
-    for result in completed:  # shed/failed results consumed no worker cycles
-        stats = per_worker.setdefault(result.worker, idle())
-        stats["served"] += 1
-        stats["busy_cycles"] += result.sim_cycles
+    for result in results:
+        per_kind[result.kind] = per_kind.get(result.kind, 0) + 1
+        if result.worker < 0 or result.status not in (
+            "ok", "timed_out", "corrupted"
+        ):
+            continue  # shed/failed results consumed no worker cycles
+        worker = per_worker.setdefault(
+            result.worker,
+            {"served": 0, "busy_cycles": 0, "recoveries": 0, "rebuilds": 0},
+        )
+        worker["served"] += 1
+        worker["busy_cycles"] += result.sim_cycles
         breakdown.merge(result.breakdown)
 
     missing = [
@@ -409,7 +417,7 @@ def build_serving_report(
         traffic=traffic,
         faults=faults,
         queue_delay_cycles=latency_stats([r.queue_delay_cycles for r in completed]),
-        service_cycles=latency_stats([r.sim_cycles for r in completed]),
+        service_cycles=latency_stats(services),
         availability=availability,
         requested_processes=requested_processes,
         admission=admission,

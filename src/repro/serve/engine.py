@@ -368,17 +368,15 @@ class ServingEngine:
         faults: Optional[Union[str, FaultPlan]] = None,
         fault_seed: int = 0,
         retry: Optional[RetryPolicy] = None,
-        queue_capacity: Optional[int] = None,
         observe: bool = False,
-        metrics_interval: Optional[int] = None,
     ) -> ServingReport:
         """Run every request as an offline batch, return the aggregate report.
 
         The batch is the online loop with every request stamped at arrival
         cycle 0: the report splits latency into ``queue_delay + service``
-        cycles, and admission policies, ``queue_capacity``, per-request
-        ``deadline_cycle`` stamps and ``observe`` (span trees, Perfetto
-        export, timeline) behave as in :meth:`serve_online`.
+        cycles, and admission policies, per-request ``deadline_cycle``
+        stamps and ``observe`` (span trees, Perfetto export, timeline)
+        behave as in :meth:`serve_online`.
 
         Per-request results (with outputs) are kept on ``report.results``;
         with ``verify=True`` (or ``verify="strict"``) every completed
@@ -402,7 +400,7 @@ class ServingEngine:
         batch = [dataclasses.replace(request, arrival_cycle=0) for request in requests]
         return self._serve(
             batch, "offline", None, verify, faults, fault_seed, retry,
-            queue_capacity, observe, metrics_interval,
+            queue_capacity=None, observe=observe, metrics_interval=None,
         )
 
     @staticmethod
