@@ -42,7 +42,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke
     PYTHONPATH=src python benchmarks/bench_serving.py --requests 500 --pool 4 \
-        --processes 2 --output my_record.json
+        --output my_record.json
     PYTHONPATH=src python benchmarks/bench_serving.py --trace poisson:50
     PYTHONPATH=src python benchmarks/bench_serving.py --trace bursty:8:200000
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke --faults kill:0.1
@@ -55,7 +55,7 @@ Usage::
 ``trace:<c0,c1,...>``); arrivals are seeded by ``--traffic-seed`` and
 fault draws by ``--fault-seed``, so every section is reproducible.
 ``--smoke`` is the CI configuration: 100 small requests over a pool of
-2, single process — exercising the long-lived-pool lifecycle (the run
+2 — exercising the long-lived-pool lifecycle (the run
 would exhaust the matrix heap within a handful of requests without heap
 recycling) in a few seconds.  The JSON lands at
 ``benchmarks/results/BENCH_serving.json`` by default.
@@ -219,13 +219,9 @@ def run_integrity(args, config, requests) -> dict:
     detected something rather than passing on an empty sample.
     """
     plan = args.faults if plan_corrupts(args.faults) else "flip:0.02"
-    base = ServingEngine(
-        pool_size=args.pool, config=config, processes=args.processes,
-        integrity="off",
-    )
+    base = ServingEngine(pool_size=args.pool, config=config, integrity="off")
     guarded = ServingEngine(
-        pool_size=args.pool, config=config, processes=args.processes,
-        integrity=args.integrity,
+        pool_size=args.pool, config=config, integrity=args.integrity,
     )
 
     start = time.perf_counter()
@@ -334,7 +330,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--pool", type=int, default=2, help="ARCANE instances")
-    parser.add_argument("--processes", type=int, default=1, help="OS processes")
     parser.add_argument("--size", type=int, default=16, help="base operand size")
     parser.add_argument("--seed", type=int, default=2025)
     parser.add_argument("--trace", default="poisson:25",
@@ -373,21 +368,17 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.smoke:
-        args.requests, args.pool, args.processes, args.size = 100, 2, 1, 12
+        args.requests, args.pool, args.size = 100, 2, 12
 
     config = ArcaneConfig(
         n_vpus=2, lanes=args.lanes, line_bytes=256, vpu_kib=8, main_memory_kib=1024
     )
     requests = make_workload(args.requests, args.size, args.seed)
-    engine = ServingEngine(
-        pool_size=args.pool, config=config, processes=args.processes,
-    )
+    engine = ServingEngine(pool_size=args.pool, config=config)
     offline = engine.serve(requests, verify=not args.no_verify)
 
-    # the dispatch core runs online serving in one simulated-time domain
-    # for any ``processes`` setting, so the same engine serves both modes
-    online_engine = engine
-    online = online_engine.serve_online(
+    # the same warm engine serves both modes
+    online = engine.serve_online(
         requests, traffic=args.trace, seed=args.traffic_seed,
         verify=not args.no_verify, observe=True,
     )
@@ -402,7 +393,7 @@ def main() -> None:
         fault_verify = False if args.no_verify else (
             "report" if plan_corrupts(args.faults) else "strict"
         )
-        faulty = online_engine.serve_online(
+        faulty = engine.serve_online(
             requests, traffic=args.trace, seed=args.traffic_seed,
             faults=args.faults, fault_seed=args.fault_seed,
             verify=fault_verify, observe=True,
@@ -430,7 +421,6 @@ def main() -> None:
         },
         "system": {
             "pool_size": args.pool,
-            "processes": engine.processes,
             "config": config.describe(),
         },
         "offline": offline.as_dict(),

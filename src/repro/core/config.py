@@ -47,7 +47,7 @@ class ArcaneConfig:
     vpu_policy: str = "fewest_dirty"  # or "round_robin" / "first_free"
     main_memory_kib: int = 8192
     #: kernel replay cache (bit-exact fast path for repeated launches);
-    #: the one switch for it, reaching the LLC, serving workers and shards
+    #: the one switch for it, reaching the LLC and every serving worker
     fastpath: bool = True
 
     def __post_init__(self) -> None:

@@ -72,7 +72,6 @@ class ServingReport:
 
     n_requests: int
     pool_size: int
-    processes: int
     policy: str
     wall_seconds: float
     total_sim_cycles: int
@@ -83,9 +82,6 @@ class ServingReport:
     breakdown: PhaseBreakdown = field(default_factory=PhaseBreakdown)
     verified: Optional[bool] = None
     mode: str = "offline"
-    #: the process count the caller asked for (``processes`` is the
-    #: effective count after the pool-size clamp); None = same as effective
-    requested_processes: Optional[int] = None
     #: admission policy the dispatch core ran (fifo/priority/edf/sjf)
     admission: Optional[str] = None
     #: replay-cache activity for the run (per-worker stat deltas,
@@ -122,8 +118,7 @@ class ServingReport:
     @property
     def requests_per_second(self) -> float:
         """Harness throughput — wall-clock of serving on a *ready* pool
-        (pool construction is excluded in serial and multi-process pools,
-        so records are comparable across ``processes`` settings)."""
+        (pool construction is excluded)."""
         return self.n_requests / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     @property
@@ -150,12 +145,10 @@ class ServingReport:
             "mode": self.mode,
             "n_requests": self.n_requests,
             "pool_size": self.pool_size,
-            "processes": self.processes,
-            "requested_processes": (
-                self.processes
-                if self.requested_processes is None
-                else self.requested_processes
-            ),
+            # the pool runs in one process; both keys stay in the record
+            # format that the pinned references and baselines carry
+            "processes": 1,
+            "requested_processes": 1,
             "policy": self.policy,
             "admission": self.admission,
             "wall_seconds": round(self.wall_seconds, 6),
@@ -232,7 +225,7 @@ class ServingReport:
         lat = self.latency_cycles
         lines = [
             f"served {self.n_requests} requests over {self.pool_size} ARCANE "
-            f"instance(s), {self.processes} process(es), "
+            "instance(s), "
             + (f"traffic={self.traffic}" if self.mode == "online"
                else f"policy={self.policy}")
             + (f", faults={self.faults}" if self.faults else ""),
@@ -317,7 +310,6 @@ class ServingReport:
 def build_serving_report(
     results: Sequence,  # Sequence[RequestResult]
     pool_size: int,
-    processes: int,
     policy: str,
     wall_seconds: float,
     verified: Optional[bool] = None,
@@ -325,7 +317,6 @@ def build_serving_report(
     traffic: Optional[str] = None,
     faults: Optional[str] = None,
     health: Optional[Dict] = None,
-    requested_processes: Optional[int] = None,
     admission: Optional[str] = None,
 ) -> ServingReport:
     """Fold per-request results into one :class:`ServingReport`.
@@ -403,7 +394,6 @@ def build_serving_report(
     return ServingReport(
         n_requests=n,
         pool_size=pool_size,
-        processes=processes,
         policy=policy,
         wall_seconds=wall_seconds,
         total_sim_cycles=sum(r.sim_cycles for r in results),
@@ -419,6 +409,5 @@ def build_serving_report(
         queue_delay_cycles=latency_stats([r.queue_delay_cycles for r in completed]),
         service_cycles=latency_stats(services),
         availability=availability,
-        requested_processes=requested_processes,
         admission=admission,
     )

@@ -486,8 +486,9 @@ def replay_kernel(
 
     if compiled is None:
         # compiled segments bind a specific system's VRF; the per-key
-        # store on ReplayCache keeps them out of the (shareable,
-        # picklable) recording — see :meth:`ReplayCache.compiled_for`
+        # store on ReplayCache keeps them out of the recording, which the
+        # fleet cache shares across workers — see
+        # :meth:`ReplayCache.compiled_for`
         compiled = _compile_steps(recording, kernel, scheduler, vpu_index)
 
     for step in compiled:
@@ -589,7 +590,7 @@ class ReplayCache:
         #: optional cross-worker recording store (set by SystemWorker)
         self.fleet = None
         #: per-key compiled segment streams (closures binding *this*
-        #: system's VRF — never shared or pickled with the recording)
+        #: system's VRF — never shared with the recording)
         self._compiled: Dict[tuple, list] = {}
         #: keys that missed once and were not recorded (admission on the
         #: second miss), oldest first, at most ``capacity`` of them

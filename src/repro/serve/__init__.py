@@ -35,7 +35,6 @@ from repro.serve.dispatch import (
     AdmissionPolicy,
     DispatchCore,
     OnlineEvent,
-    ProcessPool,
     SerialPool,
     estimate_service_cycles,
     fold_tallies,
@@ -100,7 +99,6 @@ __all__ = [
     "InferenceRequest",
     "KernelKilledError",
     "OnlineEvent",
-    "ProcessPool",
     "RequestRejected",
     "RequestResult",
     "RetryPolicy",

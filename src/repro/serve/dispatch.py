@@ -1,43 +1,28 @@
 """The dispatch core: one scheduling loop for every serving mode.
 
 :class:`DispatchCore` is the only way a batch of requests runs — offline
-or online, serial or multi-process.  One event loop, timed in simulated
-cycles, owns admission, least-backlog worker selection, retry/failover
-with simulated backoff, quarantine and deadlines.  An offline batch is
-the special case where every request arrives at cycle 0.  The loop is
-parameterized by two orthogonal pieces of data (the Exo/SYS_ATL
+or online.  One event loop, timed in simulated cycles, owns admission,
+least-backlog worker selection, retry/failover with simulated backoff,
+quarantine and deadlines.  An offline batch is the special case where
+every request arrives at cycle 0.  The loop is parameterized by an
+**admission policy** (:class:`AdmissionPolicy`), as data (the Exo/SYS_ATL
 scheduling-as-data idiom: one fixed algorithm, policies as values):
+``fifo`` keeps strict arrival order; ``priority`` serves lower priority
+classes first; ``edf`` (earliest deadline first) and ``sjf`` (shortest
+job first, by the compiled-kernel trip-count estimate of
+:func:`estimate_service_cycles`) re-order the backlog whenever requests
+are queued.  The pending heap is keyed ``(ready, *rank, seq)``, so FIFO
+(empty rank) reproduces the legacy loop bit-for-bit.
 
-* an **admission policy** (:class:`AdmissionPolicy`) — ``fifo`` keeps
-  strict arrival order; ``priority`` serves lower priority classes
-  first; ``edf`` (earliest deadline first) and ``sjf`` (shortest job
-  first, by the compiled-kernel trip-count estimate of
-  :func:`estimate_service_cycles`) re-order the backlog whenever
-  requests are queued.  The pending heap is keyed ``(ready, *rank,
-  seq)``, so FIFO (empty rank) reproduces the legacy loop bit-for-bit;
-* a **pool backend** — :class:`SerialPool` executes on in-process
-  :class:`~repro.serve.worker.SystemWorker` instances;
-  :class:`ProcessPool` partitions the pool over OS processes (worker
-  ``w`` lives in shard ``w % processes``), each shard a
-  :class:`SerialPool` over its own workers that serves the forwarded
-  :data:`SHARD_COMMANDS` by name.
-
-Fault decisions live in the **core**, not the worker: the core calls
-:meth:`FaultInjector.before_attempt` itself and mirrors the decision to
-the owning backend, so serial and multi-process runs draw identical
-faults in identical order.  Combined with two existing invariants —
-per-request results are bit-exact with single-shot cold runs
-(``reset_heap()``) and injected faults fire *before* execution — this
-makes serial vs multi-process reports bit-identical (outputs, statuses,
-simulated cycles, event logs, availability).  The core calls the
-backend one attempt at a time, so shards never overlap: ``processes``
-partitions the pool without a wall-clock gain.
-
-The :class:`ProcessPool` also carries the **shared fleet replay cache**
-(:mod:`repro.serve.fleet`): recordings a shard publishes ride back on
-its replies and are forwarded to the other shards with the next command,
-so one worker's first launch warms the whole pool across process
-boundaries.
+The core executes attempts on a :class:`SerialPool` of in-process
+:class:`~repro.serve.worker.SystemWorker` instances.  Fault decisions
+live in the **core**, not the worker: the core calls
+:meth:`FaultInjector.before_attempt` itself, in deterministic dispatch
+order, and mirrors the decision's worker-side effects to the pool.
+Per-request results are bit-exact with single-shot cold runs
+(``reset_heap()``) and injected faults fire *before* execution, so a
+report is a pure function of ``(requests, traffic, faults,
+fault_seed)``.
 """
 
 from __future__ import annotations
@@ -244,16 +229,16 @@ class AdmissionPolicy:
         )
 
 
-# -- pool backends ------------------------------------------------------------
+# -- the pool -----------------------------------------------------------------
 
 
 class SerialPool:
-    """In-process backend over :class:`SystemWorker` instances, addressed
-    by :attr:`SystemWorker.index`."""
+    """The pool the core executes on: in-process :class:`SystemWorker`
+    instances, addressed by :attr:`SystemWorker.index`."""
 
     def __init__(self, workers: Sequence[SystemWorker]) -> None:
         if not workers:
-            raise ValueError("pool backend needs at least one worker")
+            raise ValueError("pool needs at least one worker")
         self.workers = {worker.index: worker for worker in workers}
 
     @property
@@ -281,273 +266,15 @@ class SerialPool:
     def rebuild(self, worker: int) -> None:
         self.workers[worker].rebuild()
 
-    def register_recipe(
-        self, name: str, recipe_json: str, func5: Optional[int] = None
-    ) -> None:
-        """Swap a tuned-recipe kernel variant into every worker."""
-        for worker in self.workers.values():
-            worker.register_recipe(name, recipe_json, func5)
-
     def last_recovery(self, worker: int) -> Optional[Dict[str, Optional[str]]]:
         return self.workers[worker].last_recovery
-
-    def health_snapshots(self) -> Dict[int, Dict[str, int]]:
-        return {index: w.health_snapshot() for index, w in self.workers.items()}
-
-    def replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
-        stats: Dict[int, Optional[Dict[str, int]]] = {}
-        for index, w in self.workers.items():
-            cache = w.system.llc.runtime.replay_cache
-            stats[index] = dict(cache.stats) if cache is not None else None
-        return stats
-
-    def close(self) -> None:
-        pass
-
-
-#: :class:`SerialPool` methods a :class:`ProcessPool` forwards to its shards.
-SHARD_COMMANDS = (
-    "execute", "apply_injected", "rebuild", "register_recipe",
-    "health_snapshots", "replay_stats",
-)
-
-
-def _pool_shard_main(
-    conn, worker_indices, config, share_replay, integrity="off"
-) -> None:
-    """Shard-process entry point: a :class:`SerialPool` over a subset of
-    workers, serving forwarded :data:`SHARD_COMMANDS` by name.
-
-    A command naming a ``worker`` replies with that worker's recovery
-    diagnostic; a :class:`ServingError` replies ``err`` (the parent
-    re-raises it), anything else ``fatal``.  Every reply carries the
-    shard's newly published fleet recordings and any keys it *retracted*
-    (poisoned recordings); every command may carry recordings published
-    — and retractions issued — by *other* shards (applied before the
-    command runs).  This is the multiprocessing publish/subscribe path
-    of the shared fleet replay cache; because ``retract`` also cancels
-    the shard's own pending publishes, a recording poisoned and caught
-    in the same command never leaves its shard at all.
-    """
-    from repro.serve.fleet import FleetReplayCache
-
-    fleet = FleetReplayCache() if share_replay else None
-    pool = SerialPool([
-        SystemWorker(index, config, fleet=fleet, integrity=integrity)
-        for index in worker_indices
-    ])
-    while True:
-        try:
-            command, kwargs, updates, retracted = conn.recv()
-        except (EOFError, OSError):
-            break
-        if fleet is not None:
-            if retracted:
-                fleet.discard(retracted)
-            if updates:
-                fleet.adopt(updates)
-        if command == "close":
-            break
-        status: str = "ok"
-        value: Any = None
-        recovery: Optional[Dict[str, Optional[str]]] = None
-        if command not in SHARD_COMMANDS:
-            status, value = "fatal", f"unknown pool command {command!r}"
-        else:
-            try:
-                value = getattr(pool, command)(**kwargs)
-            except ServingError as error:
-                status, value = "err", error
-            except Exception as error:  # pragma: no cover - defensive
-                status, value = "fatal", f"{type(error).__name__}: {error}"
-            if "worker" in kwargs and status != "fatal":
-                recovery = pool.last_recovery(kwargs["worker"])
-        published = fleet.drain_outbox() if fleet is not None else []
-        retractions = fleet.drain_retractions() if fleet is not None else []
-        try:
-            conn.send((status, value, recovery, published, retractions))
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-            break
-    conn.close()
-
-
-class ProcessPool:
-    """Multi-process backend: worker ``w`` lives in shard ``w % processes``.
-
-    Each shard is a long-lived child process running a
-    :class:`SerialPool` over the workers it owns, driven over a pipe
-    with the same method names (:data:`SHARD_COMMANDS`).  Execution is
-    remote but every *decision* stays in the parent's dispatch core, so
-    multi-process runs are bit-identical to serial ones.  The parent
-    mirrors each worker's last recovery diagnostic from replies, and
-    relays fleet-cache recordings between shards (see
-    :func:`_pool_shard_main`).
-    """
-
-    def __init__(
-        self,
-        pool_size: int,
-        processes: int,
-        config=None,
-        share_replay: bool = False,
-        integrity: str = "off",
-    ) -> None:
-        import multiprocessing as mp
-
-        if not 1 <= processes <= pool_size:
-            raise ValueError("need 1 <= processes <= pool_size")
-        self.pool_size = pool_size
-        self.processes = processes
-        self.share_replay = share_replay
-        self.integrity = integrity
-        self.shard_of = {w: w % processes for w in range(pool_size)}
-        self._recovery: List[Optional[Dict[str, Optional[str]]]] = [None] * pool_size
-        #: recordings published by other shards, awaiting the next command
-        self._updates: List[list] = [[] for _ in range(processes)]
-        #: keys retracted by other shards, awaiting the next command
-        self._retracted: List[list] = [[] for _ in range(processes)]
-        self._conns = []
-        self._procs = []
-        ctx = mp.get_context()
-        for p in range(processes):
-            parent_conn, child_conn = ctx.Pipe()
-            indices = [w for w in range(pool_size) if w % processes == p]
-            proc = ctx.Process(
-                target=_pool_shard_main,
-                args=(child_conn, indices, config, share_replay, integrity),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-
-    @property
-    def indices(self) -> List[int]:
-        return list(range(self.pool_size))
-
-    def _distribute(self, shard: int, published: list, retractions: list) -> None:
-        for other in range(self.processes):
-            if other == shard:
-                continue
-            if published:
-                self._updates[other].extend(published)
-            if retractions:
-                self._retracted[other].extend(retractions)
-        if retractions:
-            # a retracted key must not resurface from a stale pending
-            # update either (shard A published it, shard B retracted it
-            # before shard C saw the publish)
-            keys = set(retractions)
-            for other in range(self.processes):
-                self._updates[other] = [
-                    (k, r) for k, r in self._updates[other] if k not in keys
-                ]
-
-    def _send(self, shard: int, command: str, **kwargs) -> None:
-        updates = self._updates[shard]
-        self._updates[shard] = []
-        retracted = self._retracted[shard]
-        self._retracted[shard] = []
-        self._conns[shard].send((command, kwargs, updates, retracted))
-
-    def _recv(self, shard: int):
-        status, value, recovery, published, retractions = self._conns[shard].recv()
-        self._distribute(shard, published, retractions)
-        if status == "fatal":
-            raise RuntimeError(f"pool shard {shard} failed: {value}")
-        return status, value, recovery
-
-    def _request(self, shard: int, command: str, **kwargs):
-        self._send(shard, command, **kwargs)
-        return self._recv(shard)
-
-    def _call(self, worker: int, command: str, **kwargs) -> Any:
-        """Run one worker-addressed command on the worker's shard; keep
-        its recovery diagnostic and re-raise a :class:`ServingError`."""
-        status, value, recovery = self._request(
-            self.shard_of[worker], command, worker=worker, **kwargs
-        )
-        self._recovery[worker] = recovery
-        if status == "err":
-            raise value
-        return value
-
-    def execute(
-        self,
-        worker: int,
-        request: InferenceRequest,
-        attempt: int = 1,
-        observe: bool = False,
-        slow_factor: float = 1.0,
-        directives: Sequence = (),
-        bypass_fastpath: bool = False,
-    ) -> RequestResult:
-        return self._call(
-            worker, "execute", request=request, attempt=attempt,
-            observe=observe, slow_factor=slow_factor,
-            directives=tuple(directives), bypass_fastpath=bypass_fastpath,
-        )
-
-    def apply_injected(self, worker: int, error: ServingError) -> None:
-        self._call(worker, "apply_injected", error=error)
-
-    def rebuild(self, worker: int) -> None:
-        self._call(worker, "rebuild")
-
-    def register_recipe(
-        self, name: str, recipe_json: str, func5: Optional[int] = None
-    ) -> None:
-        """Broadcast a tuned-recipe swap to every shard's workers."""
-        for shard in range(self.processes):
-            self._request(
-                shard, "register_recipe",
-                name=name, recipe_json=recipe_json, func5=func5,
-            )
-
-    def last_recovery(self, worker: int) -> Optional[Dict[str, Optional[str]]]:
-        return self._recovery[worker]
-
-    def _gather(self, command: str) -> Dict[int, Any]:
-        merged: Dict[int, Any] = {}
-        for shard in range(self.processes):
-            _, value, _ = self._request(shard, command)
-            merged.update(value)
-        return dict(sorted(merged.items()))
-
-    def health_snapshots(self) -> Dict[int, Dict[str, int]]:
-        return self._gather("health_snapshots")
-
-    def replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
-        return self._gather("replay_stats")
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("close", {}, [], []))
-                conn.close()
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-        self._conns = []
-        self._procs = []
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            if self._procs:
-                self.close()
-        except Exception:
-            pass
 
 
 # -- the core -----------------------------------------------------------------
 
 
 class DispatchCore:
-    """One event loop for offline and online serving, in every pool layout.
+    """One event loop for offline and online serving.
 
     The loop pops ``(ready, *rank, seq, attempt, position)`` entries off
     a pending heap.  ``ready`` is the request's arrival (or
@@ -558,22 +285,21 @@ class DispatchCore:
     simulated timeline.
 
     The core draws every fault itself and mirrors worker-side effects
-    through the backend, so the same decisions reach the same workers
-    regardless of where those workers live.  Every decision lands in
+    through the pool, in dispatch order.  Every decision lands in
     one record, :attr:`events`; the report's tallies
     (:func:`fold_tallies`), span trees
     (:func:`~repro.obs.spans.build_spans`) and timeline
     (:func:`~repro.obs.metrics.build_timeline`) are folds over it.
-    ``observe=True`` makes the backends collect per-launch records on
+    ``observe=True`` makes the workers collect per-launch records on
     each result, stamped with their absolute cycle windows.
 
-    The core addresses workers ``0..n-1`` by position, so the backend's
+    The core addresses workers ``0..n-1`` by position, so the pool's
     worker indices must be exactly that range.
     """
 
     def __init__(
         self,
-        backend,
+        pool: SerialPool,
         admission=None,
         injector: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
@@ -583,13 +309,13 @@ class DispatchCore:
     ) -> None:
         if queue_capacity is not None and queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 (or None for unbounded)")
-        indices = list(backend.indices)
+        indices = list(pool.indices)
         if not indices or indices != list(range(len(indices))):
             raise ValueError(
-                f"dispatch needs workers indexed 0..n-1; the backend has "
+                f"dispatch needs workers indexed 0..n-1; the pool has "
                 f"worker indices {indices}"
             )
-        self.backend = backend
+        self.pool = pool
         self.admission = AdmissionPolicy.coerce(admission)
         self.injector = injector
         self.retry = retry or RetryPolicy()
@@ -628,14 +354,14 @@ class DispatchCore:
         observe: bool,
         bypass_fastpath: bool = False,
     ) -> Tuple[Optional[RequestResult], Optional[ServingError]]:
-        """One attempt: draw the fault in the core, execute on the backend.
+        """One attempt: draw the fault in the core, execute on the pool.
 
         The injector decides the attempt's fate *here* — before any
         execution, in deterministic dispatch order — and the decision's
         worker-side effects (failure counters, crash rebuilds) are
-        mirrored to the owning backend, wherever the worker lives.
-        Corruption directives are drawn here too (same reason) and
-        shipped to the worker for application mid-execution.
+        applied to the worker.  Corruption directives are drawn here too
+        (same reason) and handed to the worker for application
+        mid-execution.
         """
         slow_factor = 1.0
         directives: Sequence = ()
@@ -643,11 +369,11 @@ class DispatchCore:
             try:
                 slow_factor = self.injector.before_attempt(request, attempt, worker)
             except ServingError as error:
-                self.backend.apply_injected(worker, error)
+                self.pool.apply_injected(worker, error)
                 return None, error
             directives = self.injector.corruption_for(request, attempt, worker)
         try:
-            result = self.backend.execute(
+            result = self.pool.execute(
                 worker, request, attempt=attempt, observe=observe,
                 slow_factor=slow_factor, directives=directives,
                 bypass_fastpath=bypass_fastpath,
@@ -831,7 +557,7 @@ class DispatchCore:
         """Log one failed attempt: recovery diagnostic, supervision
         (quarantine rebuilds the worker's system), event."""
         history.append(f"attempt {attempt} on worker {worker}: {error}")
-        recovery = self.backend.last_recovery(worker)
+        recovery = self.pool.last_recovery(worker)
         if recovery and recovery.get("error"):
             history.append(
                 f"worker {worker} rebuilt after reset failure: {recovery['error']}"
@@ -843,7 +569,7 @@ class DispatchCore:
             # a crash already rebuilt the worker at injection time
             rebuilt = not isinstance(error, WorkerCrashError)
             if rebuilt:
-                self.backend.rebuild(worker)
+                self.pool.rebuild(worker)
         self.events.append(OnlineEvent(
             cycle, FAIL, request.request_id, worker, attempt, failover,
             error.fault_class, error.injected, rebuilt,

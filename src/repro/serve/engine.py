@@ -18,21 +18,14 @@ they differ only in how arrivals are stamped:
   / EDF / SJF), least-backlog dispatch, simulated retry backoff,
   deadlines and load shedding, and every result carries its simulated
   timeline (queue delay + service);
-* **fault tolerance** works in every mode and pool layout: the core
-  draws each seeded fault itself (hashing ``(fault_seed, request_id,
-  attempt)``) and mirrors the decision to the worker's owning backend,
-  so retry/failover/quarantine behave — and report — bit-identically
-  whether the pool is in-process or partitioned over OS processes;
-* **process partitioning** — with ``processes > 1`` the pool lives in a
-  persistent :class:`~repro.serve.dispatch.ProcessPool` (worker ``w`` in
-  shard ``w % processes``); decisions stay in the parent's core and
-  execution is remote, one attempt at a time, so reports equal the
-  serial ones but shards do not run concurrently;
+* **fault tolerance** works in every mode: the core draws each seeded
+  fault itself (hashing ``(fault_seed, request_id, attempt)``) and
+  applies the decision to the chosen worker, so retry/failover/quarantine
+  behave — and report — deterministically;
 * **fleet replay sharing** — ``share_replay=True`` connects every
-  worker's replay cache through a
-  :class:`~repro.serve.fleet.FleetReplayCache` (piggybacked over the
-  pool pipes when multi-process), so one worker's first launch warms the
-  whole pool; results are bit-exact with the cache off;
+  worker's replay cache through one
+  :class:`~repro.serve.fleet.FleetReplayCache`, so one worker's first
+  launch warms the whole pool; results are bit-exact with the cache off;
 * **aggregation** — per-request :class:`RunReport`s fold into a
   :class:`~repro.eval.serving.ServingReport` with throughput, latency
   percentiles and per-worker replay-cache deltas; the availability and
@@ -44,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -62,7 +54,6 @@ from repro.obs.spans import build_spans
 from repro.serve.dispatch import (
     AdmissionPolicy,
     DispatchCore,
-    ProcessPool,
     SerialPool,
     fold_tallies,
 )
@@ -118,7 +109,13 @@ class AutotunePolicy:
 
 
 class ServingEngine:
-    """Schedules independent requests over a pool of reusable systems."""
+    """Schedules independent requests over a pool of reusable systems.
+
+    The pool is :attr:`workers`, one in-process
+    :class:`~repro.serve.worker.SystemWorker` per slot, built here and
+    kept warm across ``serve`` calls.  ``processes`` accepts only 1 (the
+    pool has one layout; the argument remains for callers that name it).
+    """
 
     def __init__(
         self,
@@ -132,24 +129,14 @@ class ServingEngine:
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool needs at least one system")
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
+        if processes != 1:
+            raise ValueError(
+                f"processes must be 1 (the pool runs in-process), got {processes}"
+            )
         self.pool_size = pool_size
-        self.config = config
         self.admission = AdmissionPolicy.coerce(admission)
         self.share_replay = share_replay
         self.integrity = coerce_policy(integrity)
-        #: what the caller asked for; ``processes`` is the effective count
-        self.requested_processes = processes
-        self.processes = min(processes, pool_size)
-        if self.processes < processes:
-            warnings.warn(
-                f"processes={processes} exceeds pool_size={pool_size}; "
-                f"running {self.processes} process(es) — one worker cannot "
-                "be split across processes",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         self.autotune = AutotunePolicy.coerce(autotune)
         self._tuner: Optional[Tuner] = None
         #: cumulative (kernel, geometry) request counts across serve calls
@@ -166,21 +153,11 @@ class ServingEngine:
                 self.admission, schedule_cache=self._tuner.cache,
                 config=self._tuner.config,
             )
-        self._workers: Optional[List[SystemWorker]] = None
-        self._backend = None
-        if self.processes == 1:
-            fleet = FleetReplayCache() if share_replay else None
-            self._workers = [
-                SystemWorker(i, config, fleet=fleet, integrity=self.integrity)
-                for i in range(pool_size)
-            ]
-            self._backend = SerialPool(self._workers)
-
-    @property
-    def workers(self) -> List[SystemWorker]:
-        if self._workers is None:
-            raise RuntimeError("worker pool lives in subprocesses (processes > 1)")
-        return self._workers
+        fleet = FleetReplayCache() if share_replay else None
+        self.workers: List[SystemWorker] = [
+            SystemWorker(i, config, fleet=fleet, integrity=self.integrity)
+            for i in range(pool_size)
+        ]
 
     @property
     def schedule_cache(self) -> Optional[ScheduleCache]:
@@ -221,9 +198,8 @@ class ServingEngine:
             record = result.as_dict()
             record["swapped"] = result.best_recipe != result.default_recipe
             if record["swapped"]:
-                self._get_backend().register_recipe(
-                    name, result.best_recipe.to_json()
-                )
+                for worker in self.workers:
+                    worker.register_recipe(name, result.best_recipe.to_json())
             self._tuned[key] = record
 
     def _autotune_report(self) -> Optional[Dict]:
@@ -244,30 +220,9 @@ class ServingEngine:
             "tuned": [record for _, record in sorted(self._tuned.items())],
         }
 
-    def _get_backend(self):
-        """The pool backend, building the process shards on first use.
-
-        The :class:`ProcessPool` is persistent: shard processes (and
-        their replay caches) stay warm across ``serve`` calls, mirroring
-        the serial pool built in ``__init__``.
-        """
-        if self._backend is None:
-            self._backend = ProcessPool(
-                self.pool_size, self.processes, self.config,
-                share_replay=self.share_replay, integrity=self.integrity,
-            )
-        return self._backend
-
     def close(self) -> None:
-        """Shut down pool subprocesses (no-op for the serial pool)."""
-        if self._backend is not None:
-            self._backend.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Release the engine: a no-op, since the pool holds no OS
+        resources; kept for callers that close engines they are done with."""
 
     # -- serving --------------------------------------------------------------
 
@@ -344,13 +299,20 @@ class ServingEngine:
             )
         return True
 
+    def _replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
+        """Each worker's replay-cache counters (None with the cache off)."""
+        stats: Dict[int, Optional[Dict[str, int]]] = {}
+        for worker in self.workers:
+            cache = worker.system.llc.runtime.replay_cache
+            stats[worker.index] = dict(cache.stats) if cache is not None else None
+        return stats
+
     def _replay_delta(
         self, before: Dict[int, Optional[Dict[str, int]]]
     ) -> Optional[Dict]:
         """Per-worker replay-cache stat deltas over one serving run."""
-        after = self._backend.replay_stats()
         per_worker = {}
-        for worker, now in sorted(after.items()):
+        for worker, now in sorted(self._replay_stats().items()):
             if now is None:
                 continue
             base = before.get(worker) or {}
@@ -393,9 +355,8 @@ class ServingEngine:
         non-retryable failures become ``status="failed"`` results.  A
         ``faults`` spec (e.g. ``"kill:0.1"``, see
         :meth:`~repro.serve.faults.FaultPlan.parse`) injects seeded
-        faults deterministically — in any pool layout: fault decisions
-        are drawn in the dispatch core, so multi-process runs are
-        bit-identical to serial ones.
+        faults deterministically: fault decisions are drawn in the
+        dispatch core, in dispatch order.
         """
         batch = [dataclasses.replace(request, arrival_cycle=0) for request in requests]
         return self._serve(
@@ -506,8 +467,11 @@ class ServingEngine:
         serving run."""
         tally = fold_tallies(events)[0]
         workers = {
-            index: {key: now[key] - before[index][key] for key in now}
-            for index, now in self._backend.health_snapshots().items()
+            worker.index: {
+                key: now - before[worker.index][key]
+                for key, now in worker.health_snapshot().items()
+            }
+            for worker in self.workers
         }
         return {
             "retries": tally["retries"],
@@ -551,10 +515,9 @@ class ServingEngine:
         deadline-aware shedding and ``timed_out`` statuses, and workers
         that fail repeatedly are quarantined then reinstated after
         probation.  Results are deterministic for a fixed ``(traffic,
-        seed, fault_seed)`` — and identical for any ``processes``
-        setting: the event loop runs in one simulated-time domain in the
-        parent, only execution is remote, and every per-request result
-        is order- and worker-independent by the reset-to-cold contract.
+        seed, fault_seed)``: the event loop runs in one simulated-time
+        domain, and every per-request result is order- and
+        worker-independent by the reset-to-cold contract.
 
         ``observe=True`` turns on the observability layer
         (:mod:`repro.obs`): workers attach per-launch replay tags to each
@@ -600,16 +563,14 @@ class ServingEngine:
         plan = FaultPlan.coerce(faults)
         injector = FaultInjector(plan, fault_seed) if plan else None
         supervisor = WorkerSupervisor(self.pool_size)
-        backend = self._get_backend()
-        before = backend.health_snapshots()
-        replay_before = backend.replay_stats()
+        before = {worker.index: worker.health_snapshot() for worker in self.workers}
+        replay_before = self._replay_stats()
         core = DispatchCore(
-            backend, admission=self.admission,
+            SerialPool(self.workers), admission=self.admission,
             injector=injector, retry=retry, supervisor=supervisor,
             queue_capacity=queue_capacity, observe=observe,
         )
-        # wall time covers serving on a ready pool in every layout: the
-        # serial pool is built in __init__, process shards on first use
+        # wall time covers serving on a ready pool (built in __init__)
         start = time.perf_counter()
         results = core.run(requests)
         wall = time.perf_counter() - start
@@ -626,9 +587,8 @@ class ServingEngine:
         health = self._collect_health(injector, supervisor, core.events, before)
         # ``policy`` names the one dispatch rule (least backlog)
         report = build_serving_report(
-            results, self.pool_size, self.processes, "least_loaded", wall, verified,
+            results, self.pool_size, "least_loaded", wall, verified,
             mode=mode, traffic=traffic, faults=plan.describe() if plan else None, health=health,
-            requested_processes=self.requested_processes,
             admission=self.admission.kind,
         )
         report.results = results  # per-request detail rides along (not in JSON)

@@ -7,15 +7,8 @@ launch key itself.  Recordings are deliberately position-independent
 against the live machine, which makes a recording valid on *any*
 identically configured system — the :class:`FleetReplayCache` exploits
 exactly that: a bounded cross-worker store the per-system caches publish
-newly recorded streams into and fall back to on a local miss.
-
-Transport is pull-free in-process (serial pools hand every worker the
-same object) and piggybacked over the pool pipes for ``processes > 1``:
-each shard drains its fleet's *outbox* into every command reply, and the
-:class:`~repro.serve.dispatch.ProcessPool` forwards those recordings to
-the other shards with their next command — a publish/subscribe path with
-no extra round trips.  Adopted recordings never re-enter an outbox, so
-nothing ping-pongs.
+newly recorded streams into and fall back to on a local miss.  Every
+worker of the pool holds the same object.
 
 Sharing recordings cannot change results: replay is bit-exact with the
 slow path by the replay module's contract, and ``can_replay`` still
@@ -27,7 +20,7 @@ simply takes the slow path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional
 
 from repro.runtime.replay import Recording
 
@@ -40,13 +33,7 @@ class FleetReplayCache:
             raise ValueError("fleet cache capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, Recording]" = OrderedDict()
-        #: recordings published locally and not yet shipped to other
-        #: shards (multi-process transport drains this into replies)
-        self._outbox: List[Tuple[tuple, Recording]] = []
-        #: keys retracted locally (poisoned recordings) and not yet
-        #: shipped to other shards
-        self._retract_outbox: List[tuple] = []
-        self.stats = {"published": 0, "adopted": 0, "served": 0, "retracted": 0}
+        self.stats = {"published": 0, "served": 0, "retracted": 0}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -63,48 +50,14 @@ class FleetReplayCache:
         if key in self._entries:
             return
         self._entries[key] = recording
-        self._outbox.append((key, recording))
         self.stats["published"] += 1
         self._trim()
 
-    def adopt(self, items: Iterable[Tuple[tuple, Recording]]) -> None:
-        """Take in recordings published elsewhere (no outbox: these are
-        already fleet-wide, re-shipping them would ping-pong forever)."""
-        for key, recording in items:
-            if key in self._entries:
-                continue
-            self._entries[key] = recording
-            self.stats["adopted"] += 1
-        self._trim()
-
     def retract(self, key: tuple) -> None:
-        """Remove a poisoned recording fleet-wide.
-
-        The local entry is dropped, any not-yet-shipped publish of it is
-        cancelled, and the retraction is queued for the other shards so a
-        corrupt recording one worker produced can never be replayed by
-        another.
-        """
+        """Remove a poisoned recording fleet-wide, so a corrupt recording
+        one worker produced can never be replayed by another."""
         self._entries.pop(key, None)
-        self._outbox = [(k, r) for k, r in self._outbox if k != key]
-        self._retract_outbox.append(key)
         self.stats["retracted"] += 1
-
-    def discard(self, keys: Iterable[tuple]) -> None:
-        """Apply retractions that arrived from another shard (no outbox:
-        they are already propagating fleet-wide)."""
-        for key in keys:
-            self._entries.pop(key, None)
-
-    def drain_outbox(self) -> List[Tuple[tuple, Recording]]:
-        """Hand over everything published since the last drain."""
-        out, self._outbox = self._outbox, []
-        return out
-
-    def drain_retractions(self) -> List[tuple]:
-        """Hand over every key retracted since the last drain."""
-        out, self._retract_outbox = self._retract_outbox, []
-        return out
 
     def _trim(self) -> None:
         while len(self._entries) > self.capacity:

@@ -4,8 +4,7 @@ An :class:`InferenceRequest` is one independent unit of work a client
 submits to the :class:`~repro.serve.engine.ServingEngine`: a GeMM, an
 ``xmk4`` convolutional layer, any single library kernel (handwritten or
 compiled), or a small *graph* of kernels chained through named tensors.
-Requests carry plain numpy operands; they are picklable so the engine
-can ship them to workers in other processes.
+Requests carry plain numpy operands.
 
 A :class:`RequestResult` is the matching response: the output matrix,
 the per-request :class:`~repro.core.system.RunReport`(s), and the

@@ -69,7 +69,6 @@ class SystemWorker:
         self.system = ArcaneSystem(self.config)
         install_compiled(self.system.llc.runtime.library)
         self._attach_fleet()
-        self.served = 0
         #: failed attempts this worker has seen (injected or organic)
         self.failures = 0
         #: post-failure recoveries where ``reset_heap()`` sufficed
@@ -211,7 +210,6 @@ class SystemWorker:
         breakdown = PhaseBreakdown()
         for report in reports:
             breakdown.merge(report.breakdown)
-        self.served += 1
         if surface.events:
             # what actually fired on the machine (diagnostics): attached
             # even under policy "off", where nothing would catch it
@@ -234,10 +232,10 @@ class SystemWorker:
     def apply_injected(self, error: ServingError) -> None:
         """Mirror an injected fault's worker-side effects.
 
-        The dispatch core draws fault decisions centrally (so serial and
-        multi-process runs make identical decisions in identical order)
-        and calls this on the owning backend: the attempt never executes,
-        so the system stays clean, but a crash loses all state.
+        The dispatch core draws fault decisions centrally (so every run
+        makes identical decisions in identical order) and calls this on
+        the chosen worker: the attempt never executes, so the system
+        stays clean, but a crash loses all state.
         """
         self.last_recovery = None
         self.failures += 1

@@ -20,8 +20,8 @@ from repro.sim.trace import Tracer
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "dispatch: unified dispatch-core equivalence tests "
-        "(serial vs multi-process, shared fleet replay cache)",
+        "dispatch: dispatch-core tests (offline is online at cycle 0, "
+        "pool failures, shared fleet replay cache)",
     )
 
 

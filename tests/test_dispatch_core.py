@@ -1,16 +1,17 @@
-"""Unified dispatch-core equivalence tests (``pytest -m dispatch``).
+"""Dispatch-core tests (``pytest -m dispatch``).
 
-The acceptance bar for the dispatch refactor: a multi-process run must be
-bit-identical to the serial run for the same ``(traffic, seed, faults,
-fault_seed)``, and a run with the shared fleet replay cache must produce
+An offline batch must be the online loop with every arrival at cycle 0,
+failures on the pool must be recovered and reported the same way in
+both modes, and a run with the shared fleet replay cache must produce
 exactly the cold-cache outputs while giving workers replay hits on
 kernels they never launched first.
 """
 
+import gc
 import json
 import pathlib
 import re
-import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.obs import chrome_trace, validate_trace
 from repro.serve import (
     AdmissionPolicy,
     DispatchCore,
-    RetryPolicy,
+    FleetReplayCache,
     SerialPool,
     ServingEngine,
     SystemWorker,
@@ -61,92 +62,25 @@ def strip_wall(payload):
     return payload
 
 
-def serve_pair(requests, *, pool_size, online, **kwargs):
-    """Run the same workload serial and multi-process; return both reports."""
-    serial_engine = ServingEngine(pool_size=pool_size, config=CFG)
-    parallel_engine = ServingEngine(pool_size=pool_size, config=CFG, processes=2)
-    try:
-        if online:
-            serial = serial_engine.serve_online(requests, **kwargs)
-            parallel = parallel_engine.serve_online(requests, **kwargs)
-        else:
-            serial = serial_engine.serve(requests, **kwargs)
-            parallel = parallel_engine.serve(requests, **kwargs)
-    finally:
-        serial_engine.close()
-        parallel_engine.close()
-    return serial, parallel
-
-
-def assert_reports_identical(serial, parallel):
-    for a, b in zip(serial.results, parallel.results):
-        assert a.status == b.status
-        assert a.worker == b.worker
-        assert a.attempts == b.attempts
-        assert a.sim_cycles == b.sim_cycles
-        assert a.error == b.error
-        if a.output is None:
-            assert b.output is None
-        else:
-            assert np.array_equal(a.output, b.output)
-    a_dict = strip_wall(serial.as_dict())
-    b_dict = strip_wall(parallel.as_dict())
-    for payload in (a_dict, b_dict):
-        payload.pop("processes", None)
-        payload.pop("requested_processes", None)
-        payload.pop("replay", None)  # per-shard cache locality may differ
-    assert a_dict == b_dict
-
-
-class TestSerialMultiprocessEquivalence:
-    def test_online_with_faults_and_retries(self, rng):
-        serial, parallel = serve_pair(
-            gemm_batch(rng, 8),
-            pool_size=3,
-            online=True,
-            traffic="poisson:25",
-            seed=7,
-            faults="kill:0.2,transient:0.1,slow:0.1:2x",
-            fault_seed=5,
-            retry=RetryPolicy(max_attempts=3, backoff_cycles=64),
-        )
-        assert parallel.processes == 2
-        assert_reports_identical(serial, parallel)
-
+class TestPoolFailures:
     def test_online_with_worker_crash(self, rng):
-        serial, parallel = serve_pair(
+        """A crashed worker is rebuilt once, and its request fails over."""
+        report = ServingEngine(pool_size=2, config=CFG).serve_online(
             gemm_batch(rng, 6),
-            pool_size=2,
-            online=True,
             traffic="poisson:20",
             seed=3,
             faults="crash_worker:0@1",
             fault_seed=0,
         )
-        assert_reports_identical(serial, parallel)
-        assert serial.per_worker[0]["rebuilds"] == parallel.per_worker[0]["rebuilds"]
-
-    def test_offline_with_faults(self, rng):
-        serial, parallel = serve_pair(
-            gemm_batch(rng, 8),
-            pool_size=3,
-            online=False,
-            faults="kill:0.3",
-            fault_seed=1,
-            retry=RetryPolicy(max_attempts=2),
-        )
-        assert_reports_identical(serial, parallel)
-
-    def test_offline_fault_free_verified(self, rng):
-        serial, parallel = serve_pair(
-            gemm_batch(rng, 6), pool_size=3, online=False, verify=True,
-        )
-        assert_reports_identical(serial, parallel)
+        assert all(r.status == "ok" for r in report.results)
+        assert report.per_worker[0]["rebuilds"] == 1
+        assert report.per_worker[1]["rebuilds"] == 0
+        assert report.availability["failed_attempts_by_class"] == {"crash_worker": 1}
 
     def test_offline_rejected_slots_without_faults(self, rng):
         """A fault-free offline batch whose attempts fail anyway (offloads
-        to an unregistered slot, which the decoder kills) reports the
-        same failures, recoveries and event log in every pool layout."""
+        to an unregistered slot, which the decoder kills) reports each
+        failure once, by class, and keeps serving the rest."""
         requests = []
         for i in range(6):
             a = rng.integers(-5, 5, (6, 8)).astype(np.int16)
@@ -155,11 +89,11 @@ class TestSerialMultiprocessEquivalence:
             requests.append(kernel_request(
                 2 * i + 1, 30, [np.zeros((4, 4), dtype=np.int16)], (4, 4)
             ))
-        serial, parallel = serve_pair(requests, pool_size=2, online=False)
-        assert_reports_identical(serial, parallel)
-        assert serial.events() == parallel.events()
-        assert serial.availability["failed_attempts_by_class"] == {"rejected": 6}
-        assert [r.status for r in serial.results] == ["ok", "failed"] * 6
+        report = ServingEngine(pool_size=2, config=CFG).serve(requests)
+        assert report.availability["failed_attempts_by_class"] == {"rejected": 6}
+        assert [r.status for r in report.results] == ["ok", "failed"] * 6
+        fails = [e for e in report.events() if e["kind"] == "fail"]
+        assert [e["request"] for e in fails] == [2 * i + 1 for i in range(6)]
 
 
 class TestOfflineIsArrivalsAtZero:
@@ -234,24 +168,23 @@ class TestFleetReplayCache:
         assert shared.replay["per_worker"]["1"]["fleet_hits"] >= 1
         assert cold.replay is None or not cold.replay["shared"]
 
-    def test_multiprocess_fleet_propagation(self):
-        requests = repeated_gemm_batch(4)
-        cold = ServingEngine(pool_size=2, config=CFG).serve_online(requests)
-        engine = ServingEngine(
-            pool_size=2, config=CFG, processes=2, share_replay=True
-        )
-        try:
-            shared = engine.serve_online(requests)
-        finally:
-            engine.close()
-        for a, b in zip(cold.results, shared.results):
-            assert np.array_equal(a.output, b.output)
-            assert a.sim_cycles == b.sim_cycles
-        assert cold.makespan_cycles == shared.makespan_cycles
-        # the recording crossed a process boundary: shard 1's worker
-        # replays a kernel only shard 0's worker ever launched
-        assert shared.replay["shared"]
-        assert shared.replay["per_worker"]["1"]["fleet_hits"] >= 1
+    def test_evicted_recordings_are_released(self):
+        """Past its capacity the fleet keeps no reference to what it
+        evicted (recordings are slotted, so weak-referenceable stand-ins
+        take their place)."""
+
+        class StandIn:
+            pass
+
+        fleet = FleetReplayCache(capacity=2)
+        published = [StandIn() for _ in range(5)]
+        refs = [weakref.ref(item) for item in published]
+        for index, item in enumerate(published):
+            fleet.publish(("key", index), item)
+        del published, item
+        gc.collect()
+        assert len(fleet) == 2
+        assert [ref() is None for ref in refs] == [True, True, True, False, False]
 
 
 class TestAdmissionPolicies:
@@ -296,27 +229,21 @@ class TestAdmissionPolicies:
         assert report.as_dict()["admission"] == "edf"
 
 
-class TestProcessClamp:
-    def test_clamp_warns_and_records_requested_count(self, rng):
-        with pytest.warns(RuntimeWarning, match="exceeds pool_size"):
-            engine = ServingEngine(pool_size=2, config=CFG, processes=8)
-        try:
-            assert engine.processes == 2
-            assert engine.requested_processes == 8
-            report = engine.serve(gemm_batch(rng, 2))
-        finally:
-            engine.close()
-        assert report.processes == 2
-        assert report.requested_processes == 8
-        payload = report.as_dict()
-        assert payload["processes"] == 2
-        assert payload["requested_processes"] == 8
+class TestProcessesArgument:
+    """The pool runs in one process; ``processes`` accepts only 1."""
 
-    def test_no_warning_when_processes_fit(self, rng):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine = ServingEngine(pool_size=2, config=CFG, processes=2)
-        engine.close()
+    @pytest.mark.parametrize("processes", [0, 2])
+    def test_processes_other_than_one_rejected(self, processes):
+        with pytest.raises(ValueError, match="processes must be 1"):
+            ServingEngine(pool_size=2, config=CFG, processes=processes)
+
+    def test_processes_one_serves_and_reports_one(self, rng):
+        report = ServingEngine(pool_size=2, config=CFG, processes=1).serve(
+            gemm_batch(rng, 2), verify=True,
+        )
+        payload = report.as_dict()
+        assert payload["processes"] == 1
+        assert payload["requested_processes"] == 1
 
 
 SHEDDING_REFERENCE = pathlib.Path(__file__).parent / "data" / "shedding_reference.json"

@@ -1,4 +1,4 @@
-"""Serving engine tests: scheduling, bit-exactness, parallelism, reports."""
+"""Serving engine tests: scheduling, bit-exactness, reports."""
 
 import dataclasses
 import json
@@ -13,7 +13,6 @@ from repro.serve import (
     GraphNode,
     DispatchCore,
     InferenceRequest,
-    ProcessPool,
     SerialPool,
     ServingEngine,
     SystemWorker,
@@ -95,16 +94,6 @@ class TestEngineServing:
         for request, result in zip(requests, report.results):
             assert np.array_equal(result.output, expected_output(request))
 
-    def test_parallel_processes_match_serial(self, rng):
-        requests = mixed_requests(rng, 8)
-        serial = ServingEngine(pool_size=2, config=CFG).serve(requests)
-        parallel = ServingEngine(pool_size=2, config=CFG, processes=2).serve(requests)
-        for s, p in zip(serial.results, parallel.results):
-            assert np.array_equal(s.output, p.output)
-            assert s.sim_cycles == p.sim_cycles
-            assert s.worker == p.worker
-        assert serial.makespan_cycles == parallel.makespan_cycles
-
     def test_duplicate_request_ids_rejected(self, rng):
         engine = ServingEngine(pool_size=2, config=CFG)
         a = rng.integers(-5, 5, (4, 4)).astype(np.int16)
@@ -178,17 +167,21 @@ class TestServingReport:
 
 class TestWorkerLifecycle:
     def test_worker_resets_between_requests(self, rng):
-        worker = SystemWorker(0, CFG)
+        engine = ServingEngine(pool_size=1, config=CFG)
+        worker = engine.workers[0]
+        served = 0
         for rid in range(3):
             request = gemm_request(
                 rid,
                 rng.integers(-5, 5, (6, 8)).astype(np.int16),
                 rng.integers(-5, 5, (8, 10)).astype(np.int16),
             )
-            result = worker.run(request)
+            report = engine.serve([request])
+            result = report.results[0]
             assert np.array_equal(result.output, expected_output(request))
             assert worker.system.heap_stats()["live_matrices"] == 0
-        assert worker.served == 3
+            served += report.per_worker[0]["served"]
+        assert served == 3
         assert result.sim_cycles > 0
 
     def test_worker_resets_even_on_failure(self, rng):
@@ -254,8 +247,8 @@ class TestReportInvariants:
         assert all(single[k] == 42.0 for k in ("min", "mean", "p50", "p90", "p99", "max"))
 
     def test_empty_result_report(self):
-        report = build_serving_report([], pool_size=2, processes=1,
-                                      policy="least_loaded", wall_seconds=0.0)
+        report = build_serving_report([], pool_size=2, policy="least_loaded",
+                                      wall_seconds=0.0)
         assert report.n_requests == 0
         assert report.total_sim_cycles == 0
         assert report.makespan_cycles == 0
@@ -264,7 +257,7 @@ class TestReportInvariants:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown serving mode"):
-            build_serving_report([], 1, 1, "least_loaded", 0.0, mode="sideways")
+            build_serving_report([], 1, "least_loaded", 0.0, mode="sideways")
 
     def test_online_report_requires_timelines(self, rng):
         """Only the dispatch core stamps timelines: results straight from
@@ -273,7 +266,7 @@ class TestReportInvariants:
         bare = [worker.run(request) for request in mixed_requests(rng, 2)]
         for mode in ("offline", "online"):
             with pytest.raises(ValueError, match="needs simulated timelines"):
-                build_serving_report(bare, 1, 1, "least_loaded", 0.0, mode=mode)
+                build_serving_report(bare, 1, "least_loaded", 0.0, mode=mode)
 
 
 class TestTraffic:
@@ -482,24 +475,6 @@ class TestOnlineServing:
         assert decoded["faults"] is None
         assert decoded["availability"]["success_rate"] == 1.0
 
-    def test_online_multiprocess_matches_serial(self, rng):
-        """The dispatch core lifted the old processes=1 restriction: a
-        multi-process online run is bit-identical to the serial one."""
-        requests = mixed_requests(rng, 4)
-        serial = ServingEngine(pool_size=2, config=CFG).serve_online(
-            requests, traffic="poisson:25", seed=7)
-        engine = ServingEngine(pool_size=2, config=CFG, processes=2)
-        try:
-            parallel = engine.serve_online(requests, traffic="poisson:25", seed=7)
-        finally:
-            engine.close()
-        assert parallel.processes == 2
-        for a, b in zip(serial.results, parallel.results):
-            assert np.array_equal(a.output, b.output)
-            assert (a.sim_cycles, a.worker, a.start_cycle, a.completion_cycle) \
-                == (b.sim_cycles, b.worker, b.start_cycle, b.completion_cycle)
-        assert serial.makespan_cycles == parallel.makespan_cycles
-
     def test_online_matches_offline_outputs(self, rng):
         """Queueing changes timing, never numerics: same outputs either way."""
         requests = mixed_requests(rng, 8)
@@ -527,17 +502,6 @@ class TestOnlineServing:
         assert core.makespan_cycles == max(core.free_at)
 
 
-def test_unknown_shard_command_is_fatal():
-    """A shard serves only the pool protocol's method names; anything
-    else takes the ``fatal`` reply, which the parent raises."""
-    pool = ProcessPool(1, 1, CFG)
-    try:
-        with pytest.raises(RuntimeError, match="unknown pool command 'bogus'"):
-            pool._request(0, "bogus")
-    finally:
-        pool.close()
-
-
 def test_partial_timeline_rejected_by_online_report(rng):
     """A result with only some timeline fields set must hit the diagnostic
     ValueError, not a TypeError inside latency_stats."""
@@ -547,4 +511,4 @@ def test_partial_timeline_rejected_by_online_report(rng):
     broken = report.results[0]
     broken.arrival_cycle = None  # completion_cycle still set
     with pytest.raises(ValueError, match="needs simulated timelines"):
-        build_serving_report([broken], 1, 1, "least_loaded", 0.0, mode="online")
+        build_serving_report([broken], 1, "least_loaded", 0.0, mode="online")
