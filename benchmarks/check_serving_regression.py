@@ -86,7 +86,7 @@ def section_config(record: dict, section: dict) -> tuple:
         workload.get("traffic_seed"), workload.get("faults"),
         workload.get("fault_seed"),
         section.get("n_requests"), section.get("pool_size"),
-        section.get("policy"), section.get("admission"),
+        section.get("admission"),
     )
 
 

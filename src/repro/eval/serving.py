@@ -20,14 +20,16 @@ suspect output); failed and shed requests are excluded (they have no
 service timeline) but show up in the **availability** section: success
 rate, per-status counts, retry/failover totals, per-class failed-attempt
 counts, injected-fault tallies and the chronological worker health
-events (quarantine/probation/reinstatement).  When an integrity policy
+events (quarantine/probation/reinstatement).  The tallies and health
+events are folds of the dispatch core's event log, which the report
+carries for :meth:`ServingReport.events`.  When an integrity policy
 or data-corruption injection ran, the engine attaches an **integrity**
 section (injected flip counts, detected/corrected/undetected, detection
 recall, escalation tallies).
 
 ``per_worker`` carries each worker's served count, busy cycles,
 utilization (busy / makespan — idle gaps between arrivals count against
-it) and its recovery/rebuild counters for the run.
+it) and how many of its failures it recovered by reset or by rebuild.
 ``as_dict`` is JSON-clean; ``bench_serving.py`` persists both modes as
 the repo's serving-perf trajectory record.
 """
@@ -44,6 +46,12 @@ from repro.runtime.phases import PhaseBreakdown
 
 #: Serving modes a report can describe.
 MODES = ("offline", "online")
+
+#: :meth:`ServingReport.events` source of each non-lifecycle event kind.
+EVENT_SOURCES = {
+    "fail": "fault", "retry": "fault", "shed": "fault",
+    "quarantined": "health", "probation": "health", "reinstated": "health",
+}
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -72,7 +80,6 @@ class ServingReport:
 
     n_requests: int
     pool_size: int
-    policy: str
     wall_seconds: float
     total_sim_cycles: int
     makespan_cycles: int
@@ -145,11 +152,6 @@ class ServingReport:
             "mode": self.mode,
             "n_requests": self.n_requests,
             "pool_size": self.pool_size,
-            # the pool runs in one process; both keys stay in the record
-            # format that the pinned references and baselines carry
-            "processes": 1,
-            "requested_processes": 1,
-            "policy": self.policy,
             "admission": self.admission,
             "wall_seconds": round(self.wall_seconds, 6),
             "requests_per_second": round(self.requests_per_second, 3),
@@ -190,33 +192,28 @@ class ServingReport:
         return record
 
     def events(self) -> List[Dict]:
-        """The run's chronological event stream, merged and cycle-sorted.
+        """The run's chronological event stream: the dispatch core's log,
+        already in cycle order, as JSON-clean dicts labelled by source.
 
-        Merges the dispatch core's event log, split by source into
-        lifecycle events (``source="dispatch"``:
-        arrival/dispatch/completion) and fault events
-        (``source="fault"``: fail/retry/shed), with the supervisor's
-        worker health transitions (``source="health"``:
-        quarantine/probation/reinstatement).  The sort is stable, so
-        same-cycle events keep their per-log order.
+        Lifecycle events are ``source="dispatch"``
+        (arrival/dispatch/completion), fault events ``source="fault"``
+        (fail/retry/shed), and worker health transitions
+        ``source="health"`` (quarantined/probation/reinstated; these
+        carry a worker but no request).
         """
-        merged: List[Dict] = []
+        stream: List[Dict] = []
         for event in self.dispatch_events:
-            source = "fault" if event.kind in ("fail", "retry", "shed") else "dispatch"
             entry: Dict = {
-                "cycle": event.cycle, "source": source,
-                "kind": event.kind, "request": event.request_id,
+                "cycle": event.cycle,
+                "source": EVENT_SOURCES.get(event.kind, "dispatch"),
+                "kind": event.kind,
             }
+            if event.request_id is not None:
+                entry["request"] = event.request_id
             if event.worker is not None:
                 entry["worker"] = event.worker
-            merged.append(entry)
-        for event in (self.availability or {}).get("worker_events", []):
-            merged.append({
-                "cycle": event["cycle"], "source": "health",
-                "kind": event["event"], "worker": event["worker"],
-            })
-        merged.sort(key=lambda entry: entry["cycle"])
-        return merged
+            stream.append(entry)
+        return stream
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
@@ -227,7 +224,7 @@ class ServingReport:
             f"served {self.n_requests} requests over {self.pool_size} ARCANE "
             "instance(s), "
             + (f"traffic={self.traffic}" if self.mode == "online"
-               else f"policy={self.policy}")
+               else f"admission={self.admission}")
             + (f", faults={self.faults}" if self.faults else ""),
             f"  wall-clock      : {self.wall_seconds:.2f} s "
             f"({self.requests_per_second:.1f} req/s)",
@@ -310,7 +307,6 @@ class ServingReport:
 def build_serving_report(
     results: Sequence,  # Sequence[RequestResult]
     pool_size: int,
-    policy: str,
     wall_seconds: float,
     verified: Optional[bool] = None,
     mode: str = "offline",
@@ -326,7 +322,9 @@ def build_serving_report(
     is the last completion cycle, in every mode.
     Latency/throughput stats cover completed requests only; failed and
     shed requests are folded into the availability block.  ``health``
-    carries the engine's injector/supervisor/worker-counter record.
+    carries the engine's fold of the dispatch log (see
+    :func:`~repro.serve.dispatch.fold_tallies`) plus the injected-fault
+    tally.
     """
     if mode not in MODES:
         raise ValueError(f"unknown serving mode {mode!r}; expected one of {MODES}")
@@ -394,7 +392,6 @@ def build_serving_report(
     return ServingReport(
         n_requests=n,
         pool_size=pool_size,
-        policy=policy,
         wall_seconds=wall_seconds,
         total_sim_cycles=sum(r.sim_cycles for r in results),
         makespan_cycles=makespan,

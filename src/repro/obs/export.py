@@ -7,8 +7,8 @@ tracing`` load natively — see the "Trace Event Format" spec).  Layout:
 * one trace **process** per worker (``pid = worker index``) carrying its
   ``dispatch``/``launch`` spans on a single track — worker service is
   serial, so they never overlap — plus instant markers for failed
-  attempts and supervisor health transitions (quarantine / probation /
-  reinstatement / rebuild);
+  attempts and the worker health transitions of the dispatch log
+  (quarantine / probation / reinstatement / rebuild);
 * one extra "dispatcher" process (``pid = pool size``) carrying the
   ``request``/``attempt``/``queue_wait`` spans, one track (``tid``) per
   request id so concurrent requests stack visually;

@@ -14,10 +14,10 @@ cycle domain the dispatcher runs in::
 
 Spans are pure host-side bookkeeping: :func:`build_spans` folds them
 after the run from the dispatch core's event log
-(:attr:`~repro.serve.dispatch.DispatchCore.events`), the per-request
-results and the supervisor's health log.  The loop itself records
-nothing else, so an observed run is bit-identical (outputs, cycle
-counts, stats) to an unobserved one.
+(:attr:`~repro.serve.dispatch.DispatchCore.events`), which also holds
+the worker health transitions, and the per-request results.  The loop
+itself records nothing else, so an observed run is bit-identical
+(outputs, cycle counts, stats) to an unobserved one.
 
 Span categories (:data:`CATEGORIES`):
 
@@ -33,8 +33,8 @@ Span categories (:data:`CATEGORIES`):
   its replay-cache outcome (``replay`` = ``hit``/``miss``/``bypassed``/
   ``off``).
 
-Instant events (worker quarantine/probation/reinstatement/rebuild) ride
-alongside on :attr:`SpanRecorder.instants`.
+Instant events (worker quarantine/probation/reinstatement/rebuild),
+folded from the same log, ride alongside on :attr:`SpanRecorder.instants`.
 """
 
 from __future__ import annotations
@@ -152,9 +152,6 @@ class SpanRecorder:
         """Direct children of ``span_id`` in creation order."""
         return [s for s in self.spans if s.parent_id == span_id]
 
-    def roots(self) -> List[Span]:
-        return self.children(None)
-
     def tree(self, span_id: int) -> List[Span]:
         """The subtree rooted at ``span_id`` in depth-first order."""
         root = self.spans[span_id]
@@ -175,15 +172,14 @@ class SpanRecorder:
         return selected
 
 
-def build_spans(
-    events: Sequence, results: Sequence, health_events: Sequence[Dict]
-) -> SpanRecorder:
-    """Fold one observed run (``OnlineEvent`` log, its results,
-    the supervisor's health log) into a :class:`SpanRecorder`.
+def build_spans(events: Sequence, results: Sequence) -> SpanRecorder:
+    """Fold one observed run (``OnlineEvent`` log and its results) into a
+    :class:`SpanRecorder`.
 
     Walking the log in emission order gives span ids in decision order.
-    Fold before output validation re-labels results.  A quarantine that
-    made the core rebuild the worker is followed by a ``rebuilt`` instant.
+    Fold before output validation re-labels results.  Each health
+    transition becomes an instant; a quarantine that made the core
+    rebuild the worker is followed by a ``rebuilt`` instant.
     """
     by_id = {result.request_id: result for result in results}
     recorder = SpanRecorder()
@@ -228,11 +224,8 @@ def build_spans(
             recorder.end(attempt, end, status=result.status)
             recorder.end(request_span[rid], end, status=result.status,
                          worker=event.worker)
-    rebuilds = iter([
-        e.rebuilt for e in events if e.kind == "fail" and e.rebuilt is not None
-    ])
-    for entry in health_events:
-        recorder.instant(entry["event"], entry["cycle"], worker=entry["worker"])
-        if entry["event"] == "quarantined" and next(rebuilds, False):
-            recorder.instant("rebuilt", entry["cycle"], worker=entry["worker"])
+        elif kind in ("quarantined", "probation", "reinstated"):
+            recorder.instant(kind, cycle, worker=event.worker)
+            if event.rebuilt:
+                recorder.instant("rebuilt", cycle, worker=event.worker)
     return recorder

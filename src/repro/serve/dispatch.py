@@ -34,6 +34,8 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.serve.faults import (
+    PROBATION,
+    QUARANTINED,
     FaultInjector,
     RetryPolicy,
     ServingError,
@@ -50,29 +52,38 @@ COMPLETION = "completion"
 FAIL = "fail"
 RETRY = "retry"
 SHED = "shed"
+#: Worker health transitions in the same log: the
+#: :class:`~repro.serve.faults.WorkerSupervisor` state a worker enters, or
+#: its reinstatement.
+REINSTATED = "reinstated"
+HEALTH_KINDS = (QUARANTINED, PROBATION, REINSTATED)
 
 
 class OnlineEvent(NamedTuple):
-    """One entry in the dispatch event log, the loop's only record.
+    """One entry in the dispatch event log, the serving run's only record.
 
-    ``cycle`` is a simulated cycle, as in the
-    :class:`~repro.serve.faults.WorkerSupervisor` health log.  The
-    fields after ``worker`` carry what the folds over the log need:
+    ``cycle`` is a simulated cycle, and the log is in cycle order.  Health
+    transitions (:data:`HEALTH_KINDS`) carry a worker but no request id:
+    ``quarantined`` at the failing attempt's cycle, ``probation`` at the
+    cycle its quarantine ends, ``reinstated`` at the clean attempt's.
+    The fields after ``worker`` carry what the folds over the log need:
     ``attempt`` and ``failover`` on dispatch and fail events;
-    ``fault_class``, ``injected`` and ``rebuilt`` on fail events
-    (``rebuilt`` is None unless the failure quarantined the worker, and
-    then says whether the core rebuilt it); ``cause`` on shed events
-    (``queue_full`` or ``deadline``).
+    ``fault_class``, ``injected`` and ``recovery`` on fail events
+    (``recovery`` is how the worker recovered: ``reset``, ``rebuild``,
+    or None when the fault fired before execution); ``rebuilt`` on
+    quarantined events (whether the core rebuilt the worker's system);
+    ``cause`` on shed events (``queue_full`` or ``deadline``).
     """
 
     cycle: int
     kind: str
-    request_id: int
+    request_id: Optional[int]
     worker: Optional[int] = None
     attempt: Optional[int] = None
     failover: Optional[bool] = None
     fault_class: Optional[str] = None
     injected: Optional[bool] = None
+    recovery: Optional[str] = None
     rebuilt: Optional[bool] = None
     cause: Optional[str] = None
 
@@ -80,28 +91,54 @@ class OnlineEvent(NamedTuple):
 def fold_tallies(
     events: Sequence[OnlineEvent],
 ) -> Tuple[Dict, Dict[str, int], List[int]]:
-    """Fold an event log into (availability tally with fault classes in
-    first-failure order, corruption-escalation tally, ids of requests
-    with a ``corrupted`` failure).  Attempts after a request's first
-    ``corrupted`` failure bypass the replay fast path; its later ones
-    escalate to failover."""
+    """Fold an event log into (availability tally, corruption-escalation
+    tally, ids of requests with a ``corrupted`` failure).
+
+    The availability tally counts retries, failovers and failed attempts
+    by fault class (in first-failure order); ``worker_events`` lists the
+    health transitions as ``{"cycle", "worker", "event"}`` dicts, and
+    ``workers`` maps each worker that recovered to its ``recoveries``
+    (fails recovered by ``reset``) and ``rebuilds`` (fails recovered by
+    ``rebuild``, plus quarantines the core rebuilt).  Attempts after a
+    request's first ``corrupted`` failure bypass the replay fast path;
+    its later ones escalate to failover."""
     by_class: Dict[str, int] = {}
-    tally: Dict = {"retries": 0, "failovers": 0, "failed_attempts_by_class": by_class}
+    worker_events: List[Dict] = []
+    workers: Dict[int, Dict[str, int]] = {}
+    tally: Dict = {
+        "retries": 0, "failovers": 0, "failed_attempts_by_class": by_class,
+        "worker_events": worker_events, "workers": workers,
+    }
     corruption = {"escalations": 0, "bypass_retries": 0, "failover_escalations": 0}
     corrupted: Dict[int, None] = {}
+
+    def count(worker: int, key: str) -> None:
+        counters = workers.setdefault(worker, {"recoveries": 0, "rebuilds": 0})
+        counters[key] += 1
+
     for event in events:
-        if event.kind == RETRY:
+        kind = event.kind
+        if kind == RETRY:
             tally["retries"] += 1
-        elif event.kind in (DISPATCH, FAIL):
+        elif kind in (DISPATCH, FAIL):
             tally["failovers"] += event.failover
             seen = event.request_id in corrupted
             corruption["bypass_retries"] += seen
-            if event.kind == FAIL:
+            if kind == FAIL:
                 by_class[event.fault_class] = by_class.get(event.fault_class, 0) + 1
                 if event.fault_class == "corrupted":
                     corruption["escalations"] += 1
                     corruption["failover_escalations"] += seen
                     corrupted[event.request_id] = None
+                if event.recovery is not None:
+                    count(event.worker,
+                          "recoveries" if event.recovery == "reset" else "rebuilds")
+        elif kind in HEALTH_KINDS:
+            worker_events.append(
+                {"cycle": event.cycle, "worker": event.worker, "event": kind}
+            )
+            if event.rebuilt:
+                count(event.worker, "rebuilds")
     return tally, corruption, list(corrupted)
 
 
@@ -285,8 +322,12 @@ class DispatchCore:
     simulated timeline.
 
     The core draws every fault itself and mirrors worker-side effects
-    through the pool, in dispatch order.  Every decision lands in
-    one record, :attr:`events`; the report's tallies
+    through the pool, in dispatch order.  It owns the pool's
+    :class:`~repro.serve.faults.WorkerSupervisor`: a quarantined worker
+    is skipped until its release cycle, and a request that finds every
+    worker quarantined waits for the earliest release.  Every decision
+    and health transition lands in one record, :attr:`events`; the
+    report's tallies
     (:func:`fold_tallies`), span trees
     (:func:`~repro.obs.spans.build_spans`) and timeline
     (:func:`~repro.obs.metrics.build_timeline`) are folds over it.
@@ -303,7 +344,6 @@ class DispatchCore:
         admission=None,
         injector: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
-        supervisor: Optional[WorkerSupervisor] = None,
         queue_capacity: Optional[int] = None,
         observe: bool = False,
     ) -> None:
@@ -319,24 +359,37 @@ class DispatchCore:
         self.admission = AdmissionPolicy.coerce(admission)
         self.injector = injector
         self.retry = retry or RetryPolicy()
-        self.supervisor = supervisor
+        self.supervisor = WorkerSupervisor(len(indices))
         self.queue_capacity = queue_capacity
         self.observe = observe
         #: cycle at which each worker drains all dispatched work
         self.free_at = [0] * len(indices)
-        #: chronological event log (arrival/dispatch/completion/fail/retry/shed)
+        #: chronological event log (arrival/dispatch/completion/fail/retry/
+        #: shed and the health transitions)
         self.events: List[OnlineEvent] = []
 
     def backlog(self, worker: int, now: int) -> int:
         """Cycles of pending work on ``worker`` as seen at cycle ``now``."""
         return max(0, self.free_at[worker] - now)
 
+    def _release(self, now: int) -> None:
+        """Log the quarantines that end at or before ``now``."""
+        for cycle, worker in self.supervisor.release(now):
+            self.events.append(OnlineEvent(cycle, PROBATION, None, worker))
+
+    def _advance(self, completions: List[tuple], now: int) -> None:
+        """Log the completions and quarantine releases at or before
+        ``now`` in cycle order, a release before a same-cycle completion."""
+        while completions and completions[0][0] <= now:
+            cycle, _, rid, worker = heapq.heappop(completions)
+            self._release(cycle)
+            self.events.append(OnlineEvent(cycle, COMPLETION, rid, worker))
+        self._release(now)
+
     def _candidates(self, now: int, avoid: Optional[int]) -> List[int]:
-        """Dispatchable workers at ``now``, preferring not-``avoid``."""
-        if self.supervisor is not None:
-            ready = self.supervisor.available(now)
-        else:
-            ready = list(range(len(self.free_at)))
+        """Dispatchable workers at ``now``, preferring not-``avoid``;
+        empty while every worker is quarantined."""
+        ready = self.supervisor.available()
         if avoid is not None and self.retry.failover:
             others = [w for w in ready if w != avoid]
             if others:
@@ -418,16 +471,12 @@ class DispatchCore:
             seq = entry[-3]
             request = requests[position]
             rid = request.request_id
-            # retire completions that happen before this instant, so the
-            # event log interleaves chronologically
-            while completions and completions[0][0] <= ready:
-                cycle, _, crid, worker = heapq.heappop(completions)
-                events.append(OnlineEvent(cycle, COMPLETION, crid, worker))
+            # log what happened up to this instant, so the event log
+            # interleaves chronologically
+            self._advance(completions, ready)
             if attempt == 1 and position not in arrived:
                 arrived.add(position)
                 events.append(OnlineEvent(ready, ARRIVAL, rid))
-            if self.supervisor is not None:
-                self.supervisor.tick(ready)
             # bounded admission: how many admitted requests are still
             # waiting (dispatched but not yet started) at this instant?
             # Popped ``ready`` values never decrease (retries and deferrals
@@ -447,20 +496,25 @@ class DispatchCore:
                         fault_class="queue_full",
                     )
                     continue
-            avoid = last_failed.get(position)
+            # corruption escalation, level 1: re-run on the *same* worker
+            # with the replay fast path bypassed — the prime suspect is a
+            # poisoned recording, not the silicon — unless the supervisor
+            # pulled that worker meanwhile
             sticky = sticky_retry.pop(position, None)
-            if sticky is not None:
-                # corruption escalation, level 1: re-run on the *same*
-                # worker with the replay fast path bypassed — the prime
-                # suspect is a poisoned recording, not the silicon —
-                # unless the supervisor pulled that worker meanwhile
-                candidates = self._candidates(ready, None)
-                if sticky in candidates:
-                    worker = sticky
-                else:
-                    worker = self._least_backlog(ready, candidates)
+            candidates = self._candidates(
+                ready, last_failed.get(position) if sticky is None else None
+            )
+            if not candidates:
+                # every worker is quarantined: wait for the earliest release
+                heapq.heappush(pending, (
+                    self.supervisor.releases[0][0], *rank_of[position], seq,
+                    attempt, position,
+                ))
+                continue
+            if sticky in candidates:
+                worker = sticky
             else:
-                worker = self._least_backlog(ready, self._candidates(ready, avoid))
+                worker = self._least_backlog(ready, candidates)
             start = max(ready, self.free_at[worker])
             # deadline-aware load shedding: don't burn cycles on a request
             # whose queue delay already blew its deadline
@@ -513,8 +567,6 @@ class DispatchCore:
                         fault_class=error.fault_class,
                     )
                 continue
-            if self.supervisor is not None:
-                self.supervisor.record_success(worker, ready)
             result.attempts = attempt
             if attempt_errors.get(position):
                 # succeeded after retries: keep the failure history around
@@ -536,11 +588,11 @@ class DispatchCore:
             if self.queue_capacity is not None:
                 heapq.heappush(waiting_starts, start)
             events.append(OnlineEvent(ready, DISPATCH, rid, worker, attempt, failover))
+            if self.supervisor.record_success(worker):
+                events.append(OnlineEvent(ready, REINSTATED, None, worker))
             heapq.heappush(completions, (completion, position, rid, worker))
             results[position] = result
-        while completions:
-            cycle, _, crid, worker = heapq.heappop(completions)
-            events.append(OnlineEvent(cycle, COMPLETION, crid, worker))
+        self._advance(completions, self.makespan_cycles)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
@@ -554,26 +606,27 @@ class DispatchCore:
         error: ServingError,
         history: List[str],
     ) -> None:
-        """Log one failed attempt: recovery diagnostic, supervision
-        (quarantine rebuilds the worker's system), event."""
+        """Log one failed attempt (with how its worker recovered) and, if
+        it quarantines the worker, the quarantine (which rebuilds the
+        worker's system); keep the recovery diagnostic in ``history``."""
         history.append(f"attempt {attempt} on worker {worker}: {error}")
         recovery = self.pool.last_recovery(worker)
         if recovery and recovery.get("error"):
             history.append(
                 f"worker {worker} rebuilt after reset failure: {recovery['error']}"
             )
-        rebuilt = None
-        if self.supervisor is not None and self.supervisor.record_failure(
-            worker, cycle, error
-        ):
+        self.events.append(OnlineEvent(
+            cycle, FAIL, request.request_id, worker, attempt, failover,
+            error.fault_class, error.injected, recovery and recovery["via"],
+        ))
+        if self.supervisor.record_failure(worker, cycle):
             # a crash already rebuilt the worker at injection time
             rebuilt = not isinstance(error, WorkerCrashError)
             if rebuilt:
                 self.pool.rebuild(worker)
-        self.events.append(OnlineEvent(
-            cycle, FAIL, request.request_id, worker, attempt, failover,
-            error.fault_class, error.injected, rebuilt,
-        ))
+            self.events.append(
+                OnlineEvent(cycle, QUARANTINED, None, worker, rebuilt=rebuilt)
+            )
 
     @property
     def makespan_cycles(self) -> int:

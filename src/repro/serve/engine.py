@@ -57,12 +57,7 @@ from repro.serve.dispatch import (
     SerialPool,
     fold_tallies,
 )
-from repro.serve.faults import (
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-    WorkerSupervisor,
-)
+from repro.serve.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.serve.fleet import FleetReplayCache
 from repro.serve.golden import expected_output
 from repro.serve.request import InferenceRequest, RequestResult
@@ -380,7 +375,8 @@ class ServingEngine:
     def _collect_integrity(
         self,
         injector: Optional[FaultInjector],
-        events: Sequence,
+        escalations: Dict[str, int],
+        corrupted_ids: Sequence[int],
         requests: Sequence[InferenceRequest],
         results: Sequence[RequestResult],
         validated: Optional[str],
@@ -406,7 +402,6 @@ class ServingEngine:
                 for kind in CORRUPTION_KINDS
                 if kind in injector.injected
             }
-        _, escalations, corrupted_ids = fold_tallies(events)
         corrupted = set(corrupted_ids)
         positions = [
             p for p, request in enumerate(requests) if request.request_id in corrupted
@@ -454,33 +449,6 @@ class ServingEngine:
                 ),
             }
         return section
-
-    def _collect_health(
-        self,
-        injector: Optional[FaultInjector],
-        supervisor: WorkerSupervisor,
-        events: Sequence,
-        before: Dict[int, Dict[str, int]],
-    ) -> Dict:
-        """Fold the event log and injector/supervisor/worker state into the
-        report's health record; worker counters are deltas over this
-        serving run."""
-        tally = fold_tallies(events)[0]
-        workers = {
-            worker.index: {
-                key: now - before[worker.index][key]
-                for key, now in worker.health_snapshot().items()
-            }
-            for worker in self.workers
-        }
-        return {
-            "retries": tally["retries"],
-            "failovers": tally["failovers"],
-            "failed_attempts_by_class": tally["failed_attempts_by_class"],
-            "injected": dict(injector.injected) if injector else {},
-            "worker_events": list(supervisor.events),
-            "workers": workers,
-        }
 
     def serve_online(
         self,
@@ -562,12 +530,10 @@ class ServingEngine:
         self._autotune_requests(requests)
         plan = FaultPlan.coerce(faults)
         injector = FaultInjector(plan, fault_seed) if plan else None
-        supervisor = WorkerSupervisor(self.pool_size)
-        before = {worker.index: worker.health_snapshot() for worker in self.workers}
         replay_before = self._replay_stats()
         core = DispatchCore(
             SerialPool(self.workers), admission=self.admission,
-            injector=injector, retry=retry, supervisor=supervisor,
+            injector=injector, retry=retry,
             queue_capacity=queue_capacity, observe=observe,
         )
         # wall time covers serving on a ready pool (built in __init__)
@@ -577,17 +543,17 @@ class ServingEngine:
         # spans carry the loop's statuses: fold before validation re-labels
         spans = None
         if observe:
-            spans = build_spans(core.events, results, supervisor.events)
+            spans = build_spans(core.events, results)
 
         verified: Optional[bool] = None
         validated = self._validate_mode(verify)
         if validated is not None:
             verified = self._verify_outputs(requests, results, validate=validated)
 
-        health = self._collect_health(injector, supervisor, core.events, before)
-        # ``policy`` names the one dispatch rule (least backlog)
+        tally, escalations, corrupted_ids = fold_tallies(core.events)
+        health = dict(tally, injected=dict(injector.injected) if injector else {})
         report = build_serving_report(
-            results, self.pool_size, "least_loaded", wall, verified,
+            results, self.pool_size, wall, verified,
             mode=mode, traffic=traffic, faults=plan.describe() if plan else None, health=health,
             admission=self.admission.kind,
         )
@@ -596,7 +562,7 @@ class ServingEngine:
         report.replay = self._replay_delta(replay_before)
         report.autotune = self._autotune_report()
         report.integrity = self._collect_integrity(
-            injector, core.events, requests, results, validated
+            injector, escalations, corrupted_ids, requests, results, validated
         )
         if observe:
             report.spans = spans

@@ -27,9 +27,9 @@ a deterministic way to rehearse all of it.  This module provides:
   to a different worker, exponential backoff in simulated cycles on the
   online path;
 * a **worker supervisor** (:class:`WorkerSupervisor`) — consecutive
-  failures quarantine a worker (the dispatcher skips it and its system
-  is rebuilt), a countdown releases it into *probation*, and one clean
-  request reinstates it.
+  failures quarantine a worker for a span of simulated cycles (the
+  dispatcher skips it and its system is rebuilt), after which it enters
+  *probation*, and one clean request reinstates it.
 
 Injected availability faults fire *before* the kernel executes, so a
 failed attempt never perturbs the simulated machine: the retry that
@@ -42,6 +42,7 @@ answer; catching that is the job of :mod:`repro.integrity` and the
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -436,80 +437,72 @@ class WorkerHealth:
 
     state: str = HEALTHY
     consecutive_failures: int = 0
-    #: dispatch decisions remaining before a quarantined worker reaches
-    #: probation
-    countdown: int = 0
 
 
 class WorkerSupervisor:
     """Quarantines workers that fail repeatedly; reinstates via probation.
 
-    ``threshold`` consecutive failures quarantine a worker: the
-    dispatcher skips it for ``quarantine_for`` dispatch decisions (its
-    system is rebuilt by the engine), after which it enters *probation*
-    — dispatchable again, reinstated as healthy by its first success,
-    re-quarantined immediately by a failure.  ``cycle`` in the event log
-    is a simulated cycle in every serving mode.
+    ``threshold`` consecutive failures quarantine a worker at the failing
+    attempt's simulated cycle: the dispatcher skips it (its system is
+    rebuilt by the core) until ``cycle + quarantine_cycles``, when
+    :meth:`release` moves it to *probation* — dispatchable again,
+    reinstated as healthy by its first success, re-quarantined
+    immediately by a failure.  The default, 4,096 cycles, is four
+    first-retry backoffs (:attr:`RetryPolicy.backoff_cycles`), so the
+    worker sits out the whole default retry ladder (1,024 + 2,048
+    cycles) of the request that quarantined it.
+
+    The supervisor is a state machine only: the dispatch core logs each
+    transition it reports to
+    :attr:`~repro.serve.dispatch.DispatchCore.events`.
     """
 
     def __init__(
-        self, n_workers: int, threshold: int = 3, quarantine_for: int = 3
+        self, n_workers: int, threshold: int = 3, quarantine_cycles: int = 4096
     ) -> None:
         if n_workers < 1:
             raise ValueError("supervisor needs at least one worker")
-        if threshold < 1 or quarantine_for < 1:
-            raise ValueError("threshold and quarantine_for must be >= 1")
+        if threshold < 1 or quarantine_cycles < 1:
+            raise ValueError("threshold and quarantine_cycles must be >= 1")
         self.threshold = threshold
-        self.quarantine_for = quarantine_for
+        self.quarantine_cycles = quarantine_cycles
         self.health = [WorkerHealth() for _ in range(n_workers)]
-        #: chronological health events (JSON-clean dicts); observed runs
-        #: also turn them into span instants
-        self.events: List[Dict] = []
+        #: min-heap of (release cycle, worker), one per quarantined worker
+        self.releases: List[Tuple[int, int]] = []
 
-    def _log(self, cycle: int, worker: int, event: str) -> None:
-        self.events.append({"cycle": int(cycle), "worker": worker, "event": event})
+    def release(self, now: int) -> List[Tuple[int, int]]:
+        """Move every worker whose quarantine ends at or before ``now`` to
+        probation; returns their ``(release cycle, worker)`` in cycle order."""
+        released = []
+        while self.releases and self.releases[0][0] <= now:
+            entry = heapq.heappop(self.releases)
+            self.health[entry[1]].state = PROBATION
+            released.append(entry)
+        return released
 
-    def tick(self, cycle: int) -> None:
-        """Advance quarantine countdowns by one dispatch decision."""
-        for worker, health in enumerate(self.health):
-            if health.state == QUARANTINED:
-                health.countdown -= 1
-                if health.countdown <= 0:
-                    health.state = PROBATION
-                    self._log(cycle, worker, "probation")
+    def available(self) -> List[int]:
+        """Dispatchable workers (healthy + probation), lowest index first;
+        empty while every worker is quarantined (see :attr:`releases`)."""
+        return [w for w, h in enumerate(self.health) if h.state != QUARANTINED]
 
-    def available(self, cycle: int = 0) -> List[int]:
-        """Dispatchable workers (healthy + probation), lowest index first.
-
-        If *every* worker is quarantined the pool would deadlock, so all
-        of them are force-released into probation instead.
-        """
-        ready = [w for w, h in enumerate(self.health) if h.state != QUARANTINED]
-        if ready:
-            return ready
-        for worker, health in enumerate(self.health):
-            health.state = PROBATION
-            health.countdown = 0
-            self._log(cycle, worker, "forced_probation")
-        return list(range(len(self.health)))
-
-    def record_success(self, worker: int, cycle: int) -> None:
+    def record_success(self, worker: int) -> bool:
+        """Record a clean attempt; True if it reinstated a worker on probation."""
         health = self.health[worker]
         health.consecutive_failures = 0
         if health.state == PROBATION:
             health.state = HEALTHY
-            self._log(cycle, worker, "reinstated")
+            return True
+        return False
 
-    def record_failure(self, worker: int, cycle: int, error: ServingError) -> bool:
-        """Record a failed attempt; True if the worker was just quarantined
-        (the caller should rebuild its system)."""
+    def record_failure(self, worker: int, cycle: int) -> bool:
+        """Record a failed attempt at ``cycle``; True if the worker was just
+        quarantined (the caller should rebuild its system)."""
         health = self.health[worker]
         health.consecutive_failures += 1
         if health.state == PROBATION or health.consecutive_failures >= self.threshold:
             health.state = QUARANTINED
-            health.countdown = self.quarantine_for
             health.consecutive_failures = 0
-            self._log(cycle, worker, "quarantined")
+            heapq.heappush(self.releases, (cycle + self.quarantine_cycles, worker))
             return True
         return False
 

@@ -33,7 +33,7 @@ class FleetReplayCache:
             raise ValueError("fleet cache capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, Recording]" = OrderedDict()
-        self.stats = {"published": 0, "served": 0, "retracted": 0}
+        self.stats = {"retracted": 0}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -42,7 +42,6 @@ class FleetReplayCache:
         recording = self._entries.get(key)
         if recording is not None:
             self._entries.move_to_end(key)
-            self.stats["served"] += 1
         return recording
 
     def publish(self, key: tuple, recording: Recording) -> None:
@@ -50,7 +49,6 @@ class FleetReplayCache:
         if key in self._entries:
             return
         self._entries[key] = recording
-        self.stats["published"] += 1
         self._trim()
 
     def retract(self, key: tuple) -> None:

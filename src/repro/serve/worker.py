@@ -13,10 +13,10 @@ The worker is also the **fault boundary**: the dispatch core decides
 each attempt's fate *before* the kernel executes and mirrors injected
 failures here through :meth:`apply_injected` (so they never perturb the
 simulated machine — a later retry is bit-exact with a fault-free run),
-and every failure path funnels through :meth:`_recover`, which counts
-recoveries (``reset_heap`` sufficed) vs rebuilds (fresh system) and
-keeps the swallowed reset diagnostic for the failure record instead of
-silently discarding it.
+and every failure path funnels through :meth:`_recover`, which records
+on :attr:`SystemWorker.last_recovery` whether ``reset_heap`` sufficed or
+the system had to be rebuilt, keeping the swallowed reset diagnostic
+for the failure record instead of silently discarding it.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ class SystemWorker:
         self.system = ArcaneSystem(self.config)
         install_compiled(self.system.llc.runtime.library)
         self._attach_fleet()
-        #: failed attempts this worker has seen (injected or organic)
-        self.failures = 0
-        #: post-failure recoveries where ``reset_heap()`` sufficed
-        self.recoveries = 0
-        #: times the simulation universe had to be rebuilt from scratch
-        self.rebuilds = 0
         #: how the most recent failure was recovered:
         #: ``{"via": "reset"|"rebuild", "error": <swallowed reset diag>}``
         self.last_recovery: Optional[Dict[str, Optional[str]]] = None
@@ -148,7 +142,6 @@ class SystemWorker:
             # poisoned recording.  The scheduler already invalidated and
             # retracted the diverged key; drop everything else this
             # attempt touched and surface a retryable corruption failure.
-            self.failures += 1
             self._retract_touched()
             self._recover()
             raise SilentCorruptionError(
@@ -162,7 +155,6 @@ class SystemWorker:
             # kernels pending, in which case reset_heap() itself raises —
             # recover the pool slot with a fresh system instead of letting
             # that error mask the real one.
-            self.failures += 1
             self._recover()
             raise
         finally:
@@ -177,12 +169,10 @@ class SystemWorker:
                     request, output, reports
                 )
             except SilentCorruptionError:
-                self.failures += 1
                 self._retract_touched()
                 self._recover()
                 raise
             except BaseException:
-                self.failures += 1
                 self._recover()
                 raise
         launches: List[Dict[str, Any]] = []
@@ -238,20 +228,18 @@ class SystemWorker:
         stays clean, but a crash loses all state.
         """
         self.last_recovery = None
-        self.failures += 1
         if isinstance(error, WorkerCrashError):
             # the simulated hardware died: all state is lost
             self.rebuild()
             self.last_recovery = {"via": "rebuild", "error": None}
 
     def rebuild(self) -> None:
-        """Replace the simulation universe with a fresh one (counted)."""
+        """Replace the simulation universe with a fresh one."""
         self.system = ArcaneSystem(self.config)
         install_compiled(self.system.llc.runtime.library)
         self._attach_fleet()
         for name, (recipe_json, slot) in self._recipe_overrides.items():
             self._register_recipe(name, recipe_json, slot)
-        self.rebuilds += 1
 
     def register_recipe(
         self, name: str, recipe_json: str, func5: Optional[int] = None
@@ -356,10 +344,10 @@ class SystemWorker:
     def _recover(self) -> None:
         """Restore a serviceable system after a failed request.
 
-        Counts whether ``reset_heap()`` sufficed (``recoveries``) or the
-        universe had to be rebuilt (``rebuilds``), and keeps the
-        swallowed reset-failure diagnostic on ``last_recovery`` so the
-        engine can attach it to the request's failure record.
+        Records on ``last_recovery`` whether ``reset_heap()`` sufficed or
+        the universe had to be rebuilt, with the swallowed reset-failure
+        diagnostic, so the dispatch core can log the recovery and attach
+        the diagnostic to the request's failure record.
         """
         self._restore_replay_flags()
         try:
@@ -369,16 +357,7 @@ class SystemWorker:
             self.rebuild()
             self.last_recovery = {"via": "rebuild", "error": repr(reset_error)}
         else:
-            self.recoveries += 1
             self.last_recovery = {"via": "reset", "error": None}
-
-    def health_snapshot(self) -> Dict[str, int]:
-        """Cumulative health counters (for ServingReport deltas)."""
-        return {
-            "failures": self.failures,
-            "recoveries": self.recoveries,
-            "rebuilds": self.rebuilds,
-        }
 
     def _dispatch(self, request: InferenceRequest) -> Tuple[np.ndarray, List[RunReport]]:
         payload = request.payload

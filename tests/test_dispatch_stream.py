@@ -37,7 +37,8 @@ FAULT_SEED = 9
 
 #: name -> run settings; what each run exercises is in its comment
 STREAM_RUNS = {
-    # 9 quarantines on a single worker, each followed by a rebuild
+    # 11 quarantines on a single worker, each followed by a rebuild; while
+    # the one worker is quarantined, requests wait for its release
     "pool1_kill": dict(pool_size=1, traffic="poisson:120", faults="kill:0.5"),
     # crash quarantines: the crash already rebuilt the worker, no instant
     "crash_quarantine": dict(
@@ -79,7 +80,8 @@ def stream_requests():
     ]
 
 
-def stream_run(name: str) -> dict:
+def serve_stream(name: str):
+    """Serve one named run; returns its report."""
     settings = dict(STREAM_RUNS[name])
     engine = ServingEngine(
         pool_size=settings["pool_size"], config=CFG,
@@ -104,6 +106,11 @@ def stream_run(name: str) -> dict:
             faults=settings["faults"], fault_seed=FAULT_SEED,
             queue_capacity=settings.get("queue_capacity"), observe=True,
         )
+    return report
+
+
+def stream_record(report) -> dict:
+    """Everything a run reports, as the reference file stores it."""
     record = report.as_dict()
     for volatile in ("wall_seconds", "requests_per_second"):
         record.pop(volatile)
@@ -123,20 +130,50 @@ def stream_run(name: str) -> dict:
     return json.loads(json.dumps(observed))
 
 
+def assert_folds_of_the_log(report):
+    """The health record, the instants and the recovery counters are
+    folds of the one dispatch log, and the log is in cycle order."""
+    log = report.dispatch_events
+    health = [e for e in log if e.kind in ("quarantined", "probation", "reinstated")]
+    assert report.availability["worker_events"] == [
+        {"cycle": e.cycle, "worker": e.worker, "event": e.kind} for e in health
+    ]
+    if report.spans is not None:
+        instants = []
+        for e in health:
+            instants.append((e.cycle, e.kind, e.worker))
+            if e.rebuilt:
+                instants.append((e.cycle, "rebuilt", e.worker))
+        assert [
+            (i.cycle, i.name, i.attrs["worker"]) for i in report.spans.instants
+        ] == instants
+    for worker, stats in report.per_worker.items():
+        fails = [e for e in log if e.kind == "fail" and e.worker == worker]
+        rebuilt = [e for e in health if e.worker == worker and e.rebuilt]
+        assert stats["recoveries"] == sum(e.recovery == "reset" for e in fails)
+        assert stats["rebuilds"] == (
+            sum(e.recovery == "rebuild" for e in fails) + len(rebuilt)
+        )
+    cycles = [e["cycle"] for e in report.events()]
+    assert cycles == sorted(cycles)
+
+
 @pytest.mark.parametrize("name", sorted(STREAM_RUNS))
 def test_stream_matches_reference(name):
     expected = json.loads(REFERENCE.read_text())[name]
-    observed = stream_run(name)
+    report = serve_stream(name)
+    observed = stream_record(report)
     assert list(observed) == list(expected)
     for section in expected:
         # compared as serialized text, so key order is pinned too
         assert json.dumps(observed[section]) == json.dumps(expected[section]), section
+    assert_folds_of_the_log(report)
 
 
 def test_reference_exercises_the_named_paths():
     runs = json.loads(REFERENCE.read_text())
     instants = [name for _, name, _ in runs["pool1_kill"]["instants"]]
-    assert instants.count("quarantined") == 9 and instants.count("rebuilt") == 9
+    assert instants.count("quarantined") == 11 and instants.count("rebuilt") == 11
     for before, after in zip(instants, instants[1:]):
         if after == "rebuilt":
             assert before == "quarantined"
@@ -164,7 +201,8 @@ def test_reference_exercises_the_named_paths():
 
 if __name__ == "__main__":
     lines = [
-        f"{json.dumps(name)}:{json.dumps(stream_run(name), separators=(',', ':'))}"
+        f"{json.dumps(name)}:"
+        f"{json.dumps(stream_record(serve_stream(name)), separators=(',', ':'))}"
         for name in sorted(STREAM_RUNS)
     ]
     REFERENCE.write_text("{\n" + ",\n".join(lines) + "\n}\n")

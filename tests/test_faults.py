@@ -262,7 +262,29 @@ class TestOfflineFaults:
         assert report.availability["failovers"] >= 1
         assert report.per_worker[0]["rebuilds"] == 1
         assert report.per_worker[1]["rebuilds"] == 0
-        assert engine.workers[0].rebuilds == 1
+
+    def test_offline_quarantine_spans_simulated_cycles(self, rng):
+        """Every first attempt of an offline batch is decided at cycle 0,
+        yet a quarantine lasts ``quarantine_cycles`` simulated cycles:
+        each worker's probation is logged exactly that long after its
+        quarantine, and its first clean attempt after it reinstates it."""
+        report = ServingEngine(pool_size=2, config=CFG).serve(
+            gemm_batch(rng, 24), faults="kill:0.5", fault_seed=2,
+        )
+        span = WorkerSupervisor(2).quarantine_cycles
+        events = report.availability["worker_events"]
+        assert [e for e in events if e["worker"] == 0] == [
+            {"cycle": 0, "worker": 0, "event": "quarantined"},
+            {"cycle": span, "worker": 0, "event": "probation"},
+            {"cycle": span, "worker": 0, "event": "reinstated"},
+        ]
+        for worker in (0, 1):
+            mine = [e for e in events if e["worker"] == worker]
+            for before, after in zip(mine, mine[1:]):
+                if before["event"] == "quarantined":
+                    assert after["event"] == "probation"
+                    assert after["cycle"] == before["cycle"] + span
+        assert all(r.status == "ok" for r in report.results)
 
     def test_fault_free_serving_is_unchanged(self, rng):
         """No fault spec: statuses all ok, single attempts, clean report."""
@@ -304,9 +326,10 @@ class TestOfflineFaults:
 
     def test_combined_corruption_escalates_on_serial_pool(self, rng):
         """All four corruption clauses at once: each detected corruption
-        re-runs on the worker that produced it, with the replay fast path
-        bypassed, and recovers; nothing slips past golden validation, and
-        the same seed reproduces the report byte for byte."""
+        re-runs with the replay fast path bypassed on the worker that
+        produced it, unless the supervisor quarantined that worker
+        meanwhile, and recovers; nothing slips past golden validation,
+        and the same seed reproduces the report byte for byte."""
         requests = gemm_batch(rng, 8)
         kwargs = dict(
             verify="report", fault_seed=10,
@@ -329,8 +352,16 @@ class TestOfflineFaults:
         assert all(r.status == "ok" for r in a.results)
         retried = [r for r in a.results if r.attempts > 1]
         assert len(retried) == integrity["detected"]
+        quarantined = {
+            e["worker"] for e in a.availability["worker_events"]
+            if e["event"] == "quarantined"
+        }
         for result in retried:
-            assert result.error.startswith(f"attempt 1 on worker {result.worker}:")
+            home = next(
+                w for w in range(2)
+                if result.error.startswith(f"attempt 1 on worker {w}:")
+            )
+            assert result.worker == home or home in quarantined
 
     def test_flip_sites_are_mode_independent(self, rng):
         """Flip draws hash from (seed, request, attempt) only, so offline
@@ -381,10 +412,7 @@ class TestOnlineFaults:
     def test_online_fail_retry_events_interleave(self, rng):
         workers = [SystemWorker(i, CFG) for i in range(2)]
         plan = FaultPlan.parse("kill:0.3")
-        core = DispatchCore(
-            SerialPool(workers), injector=FaultInjector(plan, seed=1),
-            supervisor=WorkerSupervisor(2),
-        )
+        core = DispatchCore(SerialPool(workers), injector=FaultInjector(plan, seed=1))
         requests = stamp_arrivals(
             gemm_batch(rng, 12), TrafficSpec.parse("uniform:100:2000"), seed=3)
         results = core.run(requests)
@@ -397,10 +425,11 @@ class TestOnlineFaults:
 
     def test_quarantine_skip_probation_reinstate(self, rng):
         """Three consecutive crashes quarantine worker 1; the dispatcher
-        routes around it, then probation reinstates it on a clean request."""
+        routes around it, then probation reinstates it on a clean request
+        of the second burst, which arrives after the quarantine ends."""
         engine = ServingEngine(pool_size=2, config=CFG)
         report = engine.serve_online(
-            gemm_batch(rng, 12), traffic="bursty:12:0",
+            gemm_batch(rng, 12), traffic="bursty:6:20000",
             faults="crash_worker:1@1,crash_worker:1@2,crash_worker:1@3",
         )
         assert all(r.status == "ok" for r in report.results)
@@ -412,30 +441,39 @@ class TestOnlineFaults:
         assert events.index("probation") < events.index("reinstated")
         assert all(e["worker"] == 1
                    for e in report.availability["worker_events"])
-        assert engine.workers[1].rebuilds == 3  # one rebuild per crash
+        assert report.per_worker[1]["rebuilds"] == 3  # one rebuild per crash
         # worker 1 came back and served real work after reinstatement
         assert report.per_worker[1]["served"] > 0
 
     def test_quarantined_worker_is_skipped(self):
-        supervisor = WorkerSupervisor(2, threshold=1, quarantine_for=2)
-        error = RequestRejected("boom")
-        assert supervisor.record_failure(1, 0, error) is True
+        supervisor = WorkerSupervisor(2, threshold=1, quarantine_cycles=2)
+        assert supervisor.record_failure(1, 10) is True
         assert supervisor.state_of(1) == QUARANTINED
-        assert supervisor.available(1) == [0]
-        supervisor.tick(2)
-        supervisor.tick(3)
+        assert supervisor.available() == [0]
+        assert supervisor.release(11) == []
+        # released at its own cycle, whenever the clock passes it
+        assert supervisor.release(50) == [(12, 1)]
         assert supervisor.state_of(1) == PROBATION
-        assert supervisor.available(4) == [0, 1]
-        supervisor.record_success(1, 5)
+        assert supervisor.available() == [0, 1]
+        assert supervisor.record_success(1) is True
         assert supervisor.state_of(1) == HEALTHY
 
-    def test_all_quarantined_forces_probation(self):
-        supervisor = WorkerSupervisor(2, threshold=1)
-        error = RequestRejected("boom")
-        supervisor.record_failure(0, 0, error)
-        supervisor.record_failure(1, 0, error)
-        assert supervisor.available(1) == [0, 1]  # forced release, no deadlock
-        assert all(h.state == PROBATION for h in supervisor.health)
+    def test_all_quarantined_waits_for_release(self, rng):
+        """A pool of one whose only worker is quarantined holds every
+        request until the quarantine ends, then serves it on probation."""
+        report = ServingEngine(pool_size=1, config=CFG).serve(
+            gemm_batch(rng, 4),
+            faults="crash_worker:0@1,crash_worker:0@2,crash_worker:0@3",
+        )
+        release = WorkerSupervisor(1).quarantine_cycles
+        assert report.availability["worker_events"] == [
+            {"cycle": 0, "worker": 0, "event": "quarantined"},
+            {"cycle": release, "worker": 0, "event": "probation"},
+            {"cycle": release, "worker": 0, "event": "reinstated"},
+        ]
+        assert all(r.status == "ok" for r in report.results)
+        assert min(r.start_cycle for r in report.results) == release
+        assert "forced_probation" not in {e["kind"] for e in report.events()}
 
     def test_deadline_ok_timed_out_shed(self, rng):
         """Pool of one, three identical simultaneous arrivals, budget just
@@ -507,8 +545,7 @@ class TestWorkerRecovery:
         bad = kernel_request(0, 30, [np.zeros((4, 4), dtype=np.int16)], (4, 4))
         with pytest.raises(RequestRejected):
             worker.run(bad)  # slot 30 unregistered -> offload killed
-        assert worker.health_snapshot() == {
-            "failures": 1, "recoveries": 1, "rebuilds": 0}
+        # the dispatch core logs this on the fail event; reports count it
         assert worker.last_recovery == {"via": "reset", "error": None}
         good = gemm_request(
             1,
@@ -517,7 +554,7 @@ class TestWorkerRecovery:
         )
         result = worker.run(good)
         assert np.array_equal(result.output, expected_output(good))
-        assert worker.failures == 1  # success does not touch the counters
+        assert worker.last_recovery is None  # a clean run recovers nothing
 
     def test_nonretryable_failure_is_terminal_with_recovery_counted(self, rng):
         engine = ServingEngine(pool_size=1, config=CFG)

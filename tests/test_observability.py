@@ -25,8 +25,8 @@ from repro.obs import (
     validate_trace,
     write_chrome_trace,
 )
+from repro.serve.dispatch import OnlineEvent, fold_tallies
 from repro.serve.engine import ServingEngine
-from repro.serve.faults import ServingError, WorkerSupervisor
 from repro.serve.request import gemm_request
 
 CFG = ArcaneConfig(n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8, main_memory_kib=512)
@@ -160,20 +160,23 @@ class TestRollingMetrics:
 
 class TestHealthInstants:
     def test_health_transitions_become_instants(self):
-        supervisor = WorkerSupervisor(2, threshold=2, quarantine_for=1)
-        error = ServingError("boom")
-        supervisor.record_failure(0, 10, error)
-        supervisor.record_failure(0, 20, error)  # -> quarantined
-        supervisor.tick(30)  # -> probation
-        supervisor.record_success(0, 40)  # -> reinstated
-        # no dispatch log: no fail event asks for a rebuilt instant
-        recorder = build_spans([], [], supervisor.events)
+        log = [
+            OnlineEvent(20, "quarantined", None, 0, rebuilt=True),
+            OnlineEvent(30, "probation", None, 0),
+            OnlineEvent(40, "reinstated", None, 0),
+        ]
+        recorder = build_spans(log, [])
         names = [i.name for i in recorder.instants]
-        assert names == ["quarantined", "probation", "reinstated"]
-        assert [i.cycle for i in recorder.instants] == [20, 30, 40]
+        # a quarantine the core rebuilt is followed by a rebuilt instant
+        assert names == ["quarantined", "rebuilt", "probation", "reinstated"]
+        assert [i.cycle for i in recorder.instants] == [20, 20, 30, 40]
         assert all(i.attrs["worker"] == 0 for i in recorder.instants)
-        # the JSON event log saw the same transitions
-        assert [e["event"] for e in supervisor.events] == names
+        # the report's worker_events fold the same transitions
+        assert fold_tallies(log)[0]["worker_events"] == [
+            {"cycle": 20, "worker": 0, "event": "quarantined"},
+            {"cycle": 30, "worker": 0, "event": "probation"},
+            {"cycle": 40, "worker": 0, "event": "reinstated"},
+        ]
 
 
 # -- the faulted end-to-end run ----------------------------------------------
@@ -303,8 +306,7 @@ class TestMergedEvents:
         assert "dispatch" in sources and "fault" in sources
         kinds_by_source = {"dispatch": {"arrival", "dispatch", "completion"},
                            "fault": {"fail", "retry", "shed"},
-                           "health": {"quarantined", "probation",
-                                      "forced_probation", "reinstated"}}
+                           "health": {"quarantined", "probation", "reinstated"}}
         for event in events:
             assert event["kind"] in kinds_by_source[event["source"]]
 

@@ -247,8 +247,7 @@ class TestReportInvariants:
         assert all(single[k] == 42.0 for k in ("min", "mean", "p50", "p90", "p99", "max"))
 
     def test_empty_result_report(self):
-        report = build_serving_report([], pool_size=2, policy="least_loaded",
-                                      wall_seconds=0.0)
+        report = build_serving_report([], pool_size=2, wall_seconds=0.0)
         assert report.n_requests == 0
         assert report.total_sim_cycles == 0
         assert report.makespan_cycles == 0
@@ -257,7 +256,7 @@ class TestReportInvariants:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown serving mode"):
-            build_serving_report([], 1, "least_loaded", 0.0, mode="sideways")
+            build_serving_report([], 1, 0.0, mode="sideways")
 
     def test_online_report_requires_timelines(self, rng):
         """Only the dispatch core stamps timelines: results straight from
@@ -266,7 +265,7 @@ class TestReportInvariants:
         bare = [worker.run(request) for request in mixed_requests(rng, 2)]
         for mode in ("offline", "online"):
             with pytest.raises(ValueError, match="needs simulated timelines"):
-                build_serving_report(bare, 1, "least_loaded", 0.0, mode=mode)
+                build_serving_report(bare, 1, 0.0, mode=mode)
 
 
 class TestTraffic:
@@ -511,4 +510,4 @@ def test_partial_timeline_rejected_by_online_report(rng):
     broken = report.results[0]
     broken.arrival_cycle = None  # completion_cycle still set
     with pytest.raises(ValueError, match="needs simulated timelines"):
-        build_serving_report([broken], 1, "least_loaded", 0.0, mode="online")
+        build_serving_report([broken], 1, 0.0, mode="online")
