@@ -6,9 +6,9 @@ tracing`` load natively — see the "Trace Event Format" spec).  Layout:
 
 * one trace **process** per worker (``pid = worker index``) carrying its
   ``dispatch``/``launch`` spans on a single track — worker service is
-  serial, so they never overlap — plus instant markers for failed
-  attempts and the worker health transitions of the dispatch log
-  (quarantine / probation / reinstatement / rebuild);
+  serial, so they never overlap — plus instant markers for the worker
+  health transitions of the dispatch log (quarantine / probation /
+  reinstatement / rebuild);
 * one extra "dispatcher" process (``pid = pool size``) carrying the
   ``request``/``attempt``/``queue_wait`` spans, one track (``tid``) per
   request id so concurrent requests stack visually;
@@ -94,8 +94,8 @@ def chrome_trace(report) -> Dict[str, Any]:
             pid = dispatcher_pid
             tid = int(span.attrs.get("request", 0))
         if duration == 0:
-            # zero-duration span (failed attempt detected at its dispatch
-            # instant): an instant marker reads better than a 0-wide slice
+            # zero-duration span (an attempt that failed the cycle it
+            # became ready): an instant marker reads better than a 0-wide slice
             events.append(
                 _event("i", span.name, span.start_cycle, pid, tid,
                        span.category, s="t", args=dict(span.attrs))

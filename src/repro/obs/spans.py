@@ -6,7 +6,7 @@ module records *why* as a span tree per request, in the same simulated
 cycle domain the dispatcher runs in::
 
     request 7                      [arrival .......... completion]
-      attempt 1  (failed, kill)    [ready]
+      attempt 1  (failed, kill)    [ready .. fault]
       attempt 2  (retry, failover) [ready ............ completion]
         queue_wait                 [ready ... start]
         dispatch  (worker 1)       [start ........... completion]
@@ -22,11 +22,12 @@ itself records nothing else, so an observed run is bit-identical
 Span categories (:data:`CATEGORIES`):
 
 * ``request`` — arrival to terminal outcome (ok/timed_out/failed/shed);
-* ``attempt`` — one dispatch try; failed attempts are zero-duration at
-  their dispatch instant (injected faults fire before execution) and
-  carry ``fault_class``/``injected``; retry attempts carry
-  ``cause="retry"`` and ``failover=True`` when routed away from the
-  worker that just failed;
+* ``attempt`` — one dispatch try, from the cycle it became ready (the
+  request's arrival, or its retry's re-entry after backoff); failed
+  attempts end at the cycle a worker took them (injected faults fire
+  before execution) and carry ``fault_class``/``injected``; retry
+  attempts carry ``cause="retry"`` and ``failover=True`` when routed
+  away from the worker that just failed;
 * ``queue_wait`` — admission-ready to service start;
 * ``dispatch`` — service on the chosen worker (``worker`` attribute);
 * ``launch`` — one kernel launch inside the service window, tagged with
@@ -184,24 +185,29 @@ def build_spans(events: Sequence, results: Sequence) -> SpanRecorder:
     by_id = {result.request_id: result for result in results}
     recorder = SpanRecorder()
     request_span: Dict[int, int] = {}
+    ready: Dict[int, int] = {}
     for event in events:
         kind, rid, cycle = event.kind, event.request_id, event.cycle
         if kind == "arrival":
             request_span[rid] = recorder.begin(
                 f"request {rid}", "request", cycle, request=rid, kind=by_id[rid].kind
             )
+            ready[rid] = cycle
+        elif kind == "retry":
+            ready[rid] = cycle
         elif kind == "shed":
             recorder.end(request_span[rid], cycle, status="shed", cause=event.cause)
         elif kind in ("fail", "dispatch"):
             result = by_id[rid]
             attempt = recorder.begin(
-                f"attempt {event.attempt}", "attempt", cycle, parent=request_span[rid],
+                f"attempt {event.attempt}", "attempt", ready[rid],
+                parent=request_span[rid],
                 request=rid, attempt=event.attempt, worker=event.worker,
                 cause="retry" if event.attempt > 1 else None,
                 failover=event.failover or None,
             )
             if kind == "fail":
-                # a fault fires at its dispatch instant: zero duration
+                # a fault fires when a worker takes the attempt
                 recorder.end(attempt, cycle, status="failed",
                              fault_class=event.fault_class,
                              injected=event.injected or None)
@@ -210,7 +216,7 @@ def build_spans(events: Sequence, results: Sequence) -> SpanRecorder:
                                  fault_class=event.fault_class)
                 continue
             start, end = result.start_cycle, result.completion_cycle
-            recorder.end(recorder.begin("queue_wait", "queue_wait", cycle,
+            recorder.end(recorder.begin("queue_wait", "queue_wait", ready[rid],
                                         parent=attempt, request=rid), start)
             service = recorder.begin(f"serve {rid}", "dispatch", start,
                                      parent=attempt, request=rid, worker=event.worker)

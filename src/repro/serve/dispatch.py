@@ -11,8 +11,10 @@ scheduling-as-data idiom: one fixed algorithm, policies as values):
 classes first; ``edf`` (earliest deadline first) and ``sjf`` (shortest
 job first, by the compiled-kernel trip-count estimate of
 :func:`estimate_service_cycles`) re-order the backlog whenever requests
-are queued.  The pending heap is keyed ``(ready, *rank, seq)``, so FIFO
-(empty rank) reproduces the legacy loop bit-for-bit.
+are queued.  The pending heap is keyed ``(ready, *rank, seq)``; FIFO is
+the empty rank.  Every policy binds late: a request is bound to a worker
+only at the cycle the worker takes it, so the policy decides who gets
+each freed worker.
 
 The core executes attempts on a :class:`SerialPool` of in-process
 :class:`~repro.serve.worker.SystemWorker` instances.  Fault decisions
@@ -20,9 +22,9 @@ live in the **core**, not the worker: the core calls
 :meth:`FaultInjector.before_attempt` itself, in deterministic dispatch
 order, and mirrors the decision's worker-side effects to the pool.
 Per-request results are bit-exact with single-shot cold runs
-(``reset_heap()``) and injected faults fire *before* execution, so a
-report is a pure function of ``(requests, traffic, faults,
-fault_seed)``.
+(``reset_heap()``) and injected faults fire when a worker takes the
+attempt, *before* execution, so a report is a pure function of
+``(requests, traffic, faults, fault_seed)``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ HEALTH_KINDS = (QUARANTINED, PROBATION, REINSTATED)
 class OnlineEvent(NamedTuple):
     """One entry in the dispatch event log, the serving run's only record.
 
-    ``cycle`` is a simulated cycle, and the log is in cycle order.  Health
+    ``cycle`` is a simulated cycle, and the log is in cycle order.
+    ``dispatch`` and ``fail`` are logged at the cycle a worker takes the
+    attempt, ``retry`` when the retry re-enters the queue after its
+    backoff (with the worker whose attempt failed).  Health
     transitions (:data:`HEALTH_KINDS`) carry a worker but no request id:
     ``quarantined`` at the failing attempt's cycle, ``probation`` at the
     cycle its quarantine ends, ``reinstated`` at the clean attempt's.
@@ -213,14 +218,14 @@ class AdmissionPolicy:
     """How queued requests are ordered when the pool is backlogged.
 
     The policy contributes a *rank tuple* to the pending-heap key
-    ``(ready, *rank, seq)``.  FIFO's rank is empty, which keeps the
-    exact legacy ordering ``(ready, seq)``; the other policies rank
-    same-cycle requests by priority class, deadline, or estimated
-    service cost.  Non-FIFO policies are **deferring**: a request that
-    would have to wait for a busy worker re-enters the heap at the
-    cycle the earliest candidate frees, where the rank re-orders it
-    against everything else queued by then — so the policy decides who
-    gets the freed worker, not merely who is examined first.
+    ``(ready, *rank, seq)``.  FIFO's rank is empty, so it orders by
+    ``(ready, seq)``; the other policies rank same-cycle requests by
+    priority class, deadline, or estimated service cost.  Dispatch binds
+    late under every policy: a request that would have to wait for a
+    busy worker re-enters the heap at the cycle the earliest candidate
+    frees, where the rank re-orders it against everything else queued
+    by then — so the policy decides who gets the freed worker, not
+    merely who is examined first.
     """
 
     kind: str = "fifo"
@@ -245,11 +250,6 @@ class AdmissionPolicy:
         if isinstance(spec, cls):
             return spec
         return cls(str(spec))
-
-    @property
-    def immediate(self) -> bool:
-        """True when dispatch never defers (FIFO dispatches at ready)."""
-        return self.kind == "fifo"
 
     def rank(self, request: InferenceRequest) -> Tuple[int, ...]:
         """The policy's heap-rank tuple for one request (lower = first)."""
@@ -315,11 +315,14 @@ class DispatchCore:
 
     The loop pops ``(ready, *rank, seq, attempt, position)`` entries off
     a pending heap.  ``ready`` is the request's arrival (or
-    retry-backoff) cycle — 0 for every request of an offline batch — and
-    dispatch goes to the candidate with the smallest cycle backlog.
-    Faults, retry, failover, quarantine, bounded admission and deadlines
-    behave the same in every mode, and every result carries its
-    simulated timeline.
+    retry-backoff) cycle — 0 for every request of an offline batch — or
+    the cycle a waiting request's worker frees.  Dispatch goes to the
+    candidate with the smallest cycle backlog; if it is busy, the
+    request waits in the admission queue until it frees, and
+    ``queue_capacity`` bounds how many wait.  ``seq`` is the admission
+    order, kept through waits and retries.  Faults, retry, failover,
+    quarantine, bounded admission and deadlines behave the same in
+    every mode, and every result carries its simulated timeline.
 
     The core draws every fault itself and mirrors worker-side effects
     through the pool, in dispatch order.  It owns the pool's
@@ -443,14 +446,13 @@ class DispatchCore:
             for position, request in enumerate(requests)
         )
         rank_of = [self.admission.rank(request) for request in requests]
-        # the pending heap orders (ready, *rank, seq); retries re-enter
-        # with a fresh seq so ties within a rank stay deterministic
+        # the pending heap orders (ready, *rank, seq); seq is the admission
+        # order, which waits and retries keep, so ties stay deterministic
         pending: List[tuple] = [
             (ready, *rank_of[position], seq, 1, position)
             for seq, (ready, position) in enumerate(admission)
         ]
         heapq.heapify(pending)
-        next_seq = len(pending)
         completions: List[Tuple[int, int, int, int]] = []  # (cycle, pos, rid, w)
         results: List[Optional[RequestResult]] = [None] * len(requests)
         attempt_errors: Dict[int, List[str]] = {}
@@ -459,34 +461,29 @@ class DispatchCore:
         #: failure, and (after the first one only) the worker to re-run on
         corrupted: set = set()
         sticky_retry: Dict[int, int] = {}
-        #: min-heap of the start cycles of dispatched requests that had not
-        #: started at the last admission instant (see the depth check)
-        waiting_starts: List[int] = []
-        arrived: set = set()
+        #: the admission queue: positions re-pushed to wait for a worker
+        waiting: set = set()
         events = self.events
 
         while pending:
             entry = heapq.heappop(pending)
-            ready, position, attempt = entry[0], entry[-1], entry[-2]
-            seq = entry[-3]
+            ready, seq, attempt, position = entry[0], entry[-3], entry[-2], entry[-1]
             request = requests[position]
             rid = request.request_id
             # log what happened up to this instant, so the event log
             # interleaves chronologically
             self._advance(completions, ready)
-            if attempt == 1 and position not in arrived:
-                arrived.add(position)
-                events.append(OnlineEvent(ready, ARRIVAL, rid))
-            # bounded admission: how many admitted requests are still
-            # waiting (dispatched but not yet started) at this instant?
-            # Popped ``ready`` values never decrease (retries and deferrals
-            # re-enter at or after the current instant), so a start at or
-            # before ``ready`` has left the queue for good.
-            if self.queue_capacity is not None:
-                while waiting_starts and waiting_starts[0] <= ready:
-                    heapq.heappop(waiting_starts)
-                depth = len(waiting_starts)
-                if depth >= self.queue_capacity:
+            if position in waiting:
+                waiting.remove(position)  # admitted when it started waiting
+            else:
+                # a new arrival, or a retry after its backoff: bounded
+                # admission sheds it while the queue is full
+                if attempt == 1:
+                    events.append(OnlineEvent(ready, ARRIVAL, rid))
+                else:
+                    events.append(OnlineEvent(ready, RETRY, rid, last_failed[position]))
+                depth = len(waiting)
+                if self.queue_capacity is not None and depth >= self.queue_capacity:
                     events.append(OnlineEvent(ready, SHED, rid, cause="queue_full"))
                     results[position] = RequestResult.failure(
                         request, "shed",
@@ -500,22 +497,20 @@ class DispatchCore:
             # with the replay fast path bypassed — the prime suspect is a
             # poisoned recording, not the silicon — unless the supervisor
             # pulled that worker meanwhile
-            sticky = sticky_retry.pop(position, None)
+            sticky = sticky_retry.get(position)
             candidates = self._candidates(
                 ready, last_failed.get(position) if sticky is None else None
             )
             if not candidates:
-                # every worker is quarantined: wait for the earliest release
-                heapq.heappush(pending, (
-                    self.supervisor.releases[0][0], *rank_of[position], seq,
-                    attempt, position,
-                ))
-                continue
-            if sticky in candidates:
-                worker = sticky
+                # every worker is quarantined: wait for the earliest
+                # release, which is always after ``ready``
+                start = self.supervisor.releases[0][0]
             else:
-                worker = self._least_backlog(ready, candidates)
-            start = max(ready, self.free_at[worker])
+                if sticky in candidates:
+                    worker = sticky
+                else:
+                    worker = self._least_backlog(ready, candidates)
+                start = max(ready, self.free_at[worker])
             # deadline-aware load shedding: don't burn cycles on a request
             # whose queue delay already blew its deadline
             if request.deadline_cycle is not None and start > request.deadline_cycle:
@@ -528,13 +523,15 @@ class DispatchCore:
                     fault_class="deadline",
                 )
                 continue
-            if not self.admission.immediate and start > ready:
-                # deferring policy: wait until the earliest candidate
-                # frees; by then the rank re-orders everything queued
+            if start > ready:
+                # late binding: wait until the chosen worker frees (or is
+                # released); by then the rank re-orders everything queued
+                waiting.add(position)
                 heapq.heappush(
                     pending, (start, *rank_of[position], seq, attempt, position)
                 )
                 continue
+            sticky_retry.pop(position, None)
             failover = attempt > 1 and worker != last_failed.get(position)
             result, error = self._attempt(
                 worker, request, attempt, self.observe,
@@ -550,14 +547,10 @@ class DispatchCore:
                     corrupted.add(position)
                     sticky_retry[position] = worker
                 if error.retryable and attempt < self.retry.max_attempts:
-                    retry_at = ready + self.retry.backoff(attempt)
-                    events.append(OnlineEvent(ready, RETRY, rid, worker))
-                    heapq.heappush(
-                        pending,
-                        (retry_at, *rank_of[position], next_seq, attempt + 1,
-                         position),
-                    )
-                    next_seq += 1
+                    heapq.heappush(pending, (
+                        ready + self.retry.backoff(attempt), *rank_of[position],
+                        seq, attempt + 1, position,
+                    ))
                 else:
                     results[position] = RequestResult.failure(
                         request, "failed",
@@ -585,8 +578,6 @@ class DispatchCore:
                 launch["start_cycle"] = cursor
                 cursor = launch["end_cycle"] = cursor + launch["cycles"]
             self.free_at[worker] = completion
-            if self.queue_capacity is not None:
-                heapq.heappush(waiting_starts, start)
             events.append(OnlineEvent(ready, DISPATCH, rid, worker, attempt, failover))
             if self.supervisor.record_success(worker):
                 events.append(OnlineEvent(ready, REINSTATED, None, worker))

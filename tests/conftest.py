@@ -21,7 +21,8 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "dispatch: dispatch-core tests (offline is online at cycle 0, "
-        "pool failures, shared fleet replay cache)",
+        "late binding, bounded admission, pool failures, shared fleet "
+        "replay cache)",
     )
 
 

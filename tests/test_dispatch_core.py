@@ -22,6 +22,7 @@ from repro.serve import (
     AdmissionPolicy,
     DispatchCore,
     FleetReplayCache,
+    RetryPolicy,
     SerialPool,
     ServingEngine,
     SystemWorker,
@@ -213,10 +214,11 @@ class TestAdmissionPolicies:
         assert self.serve_order([big, small], "sjf") == [1, 0]
         assert estimate_service_cycles(big) > estimate_service_cycles(small)
 
-    def test_fifo_is_the_default(self):
+    def test_fifo_is_the_default(self, rng):
+        """FIFO is the empty rank: the heap orders by (ready, seq) alone."""
         engine = ServingEngine(pool_size=1, config=CFG)
         assert engine.admission == AdmissionPolicy.coerce("fifo")
-        assert engine.admission.immediate
+        assert engine.admission.rank(gemm_batch(rng, 1)[0]) == ()
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="admission"):
@@ -250,23 +252,26 @@ class TestProcessesArgument:
 
 SHEDDING_REFERENCE = pathlib.Path(__file__).parent / "data" / "shedding_reference.json"
 
-#: bounded-queue runs (FIFO: the only immediate admission policy, so the
-#: only one whose queue ever holds dispatched-but-unstarted requests):
-#: (traffic, queue capacity, fault spec)
+#: bounded-queue runs (every admission policy binds a request to a worker
+#: only when the worker takes it, so the queue holds the requests still
+#: waiting under each): (traffic, queue capacity, fault spec, admission)
 SHEDDING_RUNS = {
-    "burst4_cap2_kill_transient": ("bursty:4:12000", 2, "kill:0.15,transient:0.15"),
-    "burst4_cap4_transient": ("bursty:4:12000", 4, "transient:0.3"),
-    "burst6_cap1": ("bursty:6:20000", 1, None),
-    "poisson120_cap2_kill_transient": ("poisson:120", 2, "kill:0.15,transient:0.15"),
+    "burst4_cap2_kill_transient": (
+        "bursty:4:12000", 2, "kill:0.15,transient:0.15", "fifo",
+    ),
+    "burst4_cap4_transient": ("bursty:4:12000", 4, "transient:0.3", "fifo"),
+    "burst6_cap1": ("bursty:6:20000", 1, None, "fifo"),
+    "burst6_cap1_edf": ("bursty:6:20000", 1, None, "edf"),
+    "poisson120_cap2_kill_transient": (
+        "poisson:120", 2, "kill:0.15,transient:0.15", "fifo",
+    ),
 }
 
 
-def shedding_run(name: str) -> dict:
-    """Bursty arrivals into a small bounded queue, with retries that
-    re-enter it later: which requests are shed, and the event log."""
-    traffic, capacity, faults = SHEDDING_RUNS[name]
+def mixed_gemm_batch():
+    """48 gemm requests over five row counts."""
     rng = np.random.default_rng(21)
-    requests = [
+    return [
         gemm_request(
             rid,
             rng.integers(-5, 5, (4 + rid % 5, 6)).astype(np.int16),
@@ -274,8 +279,14 @@ def shedding_run(name: str) -> dict:
         )
         for rid in range(48)
     ]
-    report = ServingEngine(pool_size=2, config=CFG).serve_online(
-        requests, traffic=traffic, seed=3, faults=faults, fault_seed=9,
+
+
+def shedding_run(name: str) -> dict:
+    """Bursty arrivals into a small bounded queue, with retries that
+    re-enter it later: which requests are shed, and the event log."""
+    traffic, capacity, faults, admission = SHEDDING_RUNS[name]
+    report = ServingEngine(pool_size=2, config=CFG, admission=admission).serve_online(
+        mixed_gemm_batch(), traffic=traffic, seed=3, faults=faults, fault_seed=9,
         queue_capacity=capacity,
     )
     return {
@@ -297,3 +308,45 @@ class TestBoundedQueue:
         observed = shedding_run(name)
         assert "shed" in observed["statuses"]
         assert observed == expected
+
+    @pytest.mark.parametrize("admission", ["fifo", "priority", "edf", "sjf"])
+    def test_capacity_bounds_every_policy(self, admission):
+        """16 requests at cycle 0 on two workers with room for two more:
+        every policy starts two, queues two and sheds the other twelve."""
+        engine = ServingEngine(pool_size=2, config=CFG, admission=admission)
+        report = engine.serve_online(
+            repeated_gemm_batch(16), traffic="bursty:16:0", queue_capacity=2,
+        )
+        statuses = [result.status for result in report.results]
+        assert statuses.count("shed") == 12
+        assert statuses.count("ok") == 4
+
+
+class TestLateBinding:
+    """A request is bound to a worker only when the worker takes it."""
+
+    def test_escalation_retry_keeps_its_worker_through_a_wait(self):
+        """Level-1 corruption escalation re-runs on the worker that
+        produced the corrupted result, even when that worker is busy as
+        the retry re-enters: the retry waits for it (it is taken later
+        than its backoff alone) instead of failing over."""
+        engine = ServingEngine(
+            pool_size=2, config=CFG, admission="edf", integrity="abft"
+        )
+        report = engine.serve_online(
+            mixed_gemm_batch(), traffic="poisson:120", seed=3, faults="flip:0.3",
+            fault_seed=9,
+        )
+        first_corrupted = {}
+        waited = 0
+        for event in report.dispatch_events:
+            if event.kind not in ("dispatch", "fail"):
+                continue
+            rid = event.request_id
+            if rid in first_corrupted and event.attempt == 2:
+                cycle, worker = first_corrupted[rid]
+                assert event.worker == worker and not event.failover
+                waited += event.cycle > cycle + RetryPolicy().backoff(1)
+            if event.attempt == 1 and event.fault_class == "corrupted":
+                first_corrupted[rid] = (event.cycle, event.worker)
+        assert first_corrupted and waited

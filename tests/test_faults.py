@@ -264,10 +264,11 @@ class TestOfflineFaults:
         assert report.per_worker[1]["rebuilds"] == 0
 
     def test_offline_quarantine_spans_simulated_cycles(self, rng):
-        """Every first attempt of an offline batch is decided at cycle 0,
-        yet a quarantine lasts ``quarantine_cycles`` simulated cycles:
-        each worker's probation is logged exactly that long after its
-        quarantine, and its first clean attempt after it reinstates it."""
+        """Every request of an offline batch arrives at cycle 0, yet a
+        quarantine lasts ``quarantine_cycles`` simulated cycles: each
+        worker's probation is logged exactly that long after its
+        quarantine, a failure on probation quarantines it again, and its
+        first clean attempt after a release reinstates it."""
         report = ServingEngine(pool_size=2, config=CFG).serve(
             gemm_batch(rng, 24), faults="kill:0.5", fault_seed=2,
         )
@@ -276,7 +277,9 @@ class TestOfflineFaults:
         assert [e for e in events if e["worker"] == 0] == [
             {"cycle": 0, "worker": 0, "event": "quarantined"},
             {"cycle": span, "worker": 0, "event": "probation"},
-            {"cycle": span, "worker": 0, "event": "reinstated"},
+            {"cycle": 8749, "worker": 0, "event": "quarantined"},
+            {"cycle": 8749 + span, "worker": 0, "event": "probation"},
+            {"cycle": 17570, "worker": 0, "event": "reinstated"},
         ]
         for worker in (0, 1):
             mine = [e for e in events if e["worker"] == worker]
@@ -422,6 +425,13 @@ class TestOnlineFaults:
             r.attempts - 1 for r in results)
         fails = [e for e in core.events if e.kind == "fail"]
         assert all(e.worker is not None for e in fails)
+        # a retry is logged when it re-enters the queue after its backoff,
+        # naming the worker its failed attempt ran on
+        retries = [e for e in core.events if e.kind == "retry"]
+        assert sorted((e.cycle, e.request_id, e.worker) for e in retries) == sorted(
+            (e.cycle + core.retry.backoff(e.attempt), e.request_id, e.worker)
+            for e in fails
+        )
 
     def test_quarantine_skip_probation_reinstate(self, rng):
         """Three consecutive crashes quarantine worker 1; the dispatcher

@@ -9,7 +9,10 @@ The heavyweight invariants:
 * assembled `li` materialises every 32-bit constant exactly;
 * the conv-layer micro-program equals the golden model for arbitrary
   shapes/data (in test_kernels.py);
-* phase breakdowns merge associatively.
+* phase breakdowns merge associatively;
+* fault-free dispatch binds late under every admission policy: the
+  admission queue never holds more than its capacity, no request waits
+  while a worker is idle, and the dispatch log is in cycle order.
 """
 
 import numpy as np
@@ -170,3 +173,76 @@ def test_gemm_kernel_property(m, k, n, alpha, beta, seed):
         prog.xmr(0, ma).xmr(1, mb).xmr(2, mc).xmr(3, md)
         prog.gemm(dest=3, a=0, b=1, c=2, alpha=alpha, beta=beta)
     assert np.array_equal(system.read_matrix(md), ref_gemm(a, b, c, alpha, beta))
+
+
+_PROPERTY_PAYLOADS = [
+    (
+        np.random.default_rng(shape).integers(-5, 5, shape[:2]).astype(np.int16),
+        np.random.default_rng(shape).integers(-5, 5, shape[1:]).astype(np.int16),
+    )
+    for shape in ((4, 6, 5), (8, 6, 5), (6, 8, 7))
+]
+
+
+@pytest.mark.dispatch
+@given(
+    pool_size=st.integers(1, 3),
+    admission=st.sampled_from(["fifo", "priority", "edf", "sjf"]),
+    traffic=st.one_of(
+        st.builds(
+            "bursty:{}:{}".format, st.integers(2, 8), st.sampled_from([0, 9000, 20000])
+        ),
+        st.builds("poisson:{}".format, st.sampled_from([40, 120, 300])),
+    ),
+    capacity=st.sampled_from([None, 1, 2, 4]),
+    kinds=st.lists(  # (payload, priority) per request
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=10
+    ),
+    seed=st.integers(0, 99),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_dispatch_binds_late_under_every_policy(
+    pool_size, admission, traffic, capacity, kinds, seed
+):
+    """Bounded admission holds, no request waits beside an idle worker,
+    and log cycles never decrease, for any pool, policy and traffic."""
+    from repro.core.config import ArcaneConfig
+    from repro.serve import ServingEngine, gemm_request
+
+    requests = []
+    for rid, (payload, priority) in enumerate(kinds):
+        request = gemm_request(rid, *_PROPERTY_PAYLOADS[payload])
+        request.priority = priority
+        requests.append(request)
+    engine = ServingEngine(
+        pool_size=pool_size, admission=admission,
+        config=ArcaneConfig(n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8,
+                            main_memory_kib=512),
+    )
+    report = engine.serve_online(
+        requests, traffic=traffic, seed=seed, queue_capacity=capacity
+    )
+    log = report.dispatch_events
+    assert [e.cycle for e in log] == sorted(e.cycle for e in log)
+
+    # each request waits from its arrival to the cycle it starts or is shed
+    arrived = {e.request_id: e.cycle for e in log if e.kind == "arrival"}
+    waits = [
+        (arrived[e.request_id], e.cycle) for e in log if e.kind in ("dispatch", "shed")
+    ]
+    assert len(waits) == len(requests)
+    if capacity is not None:
+        for instant in arrived.values():
+            depth = sum(begin <= instant < end for begin, end in waits)
+            assert depth <= capacity
+    busy = {worker: [] for worker in range(pool_size)}
+    for result in report.results:
+        if result.completed:
+            busy[result.worker].append((result.start_cycle, result.completion_cycle))
+    for begin, end in waits:
+        for spans in busy.values():
+            covered = begin
+            for start, completion in sorted(spans):
+                if start <= covered:
+                    covered = max(covered, completion)
+            assert covered >= end, (begin, end, sorted(spans))
