@@ -22,14 +22,14 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 from repro.compiler import FUNC5_CGEMM, FUNC5_FC
 from repro.integrity.abft import verify_gemm
 
-if TYPE_CHECKING:  # structural only: anything with .kind and .payload works
+if TYPE_CHECKING:  # structural only: anything with a graph .payload works
     from repro.serve.request import InferenceRequest
 
 #: the IntegrityPolicy ladder, cheapest first
@@ -52,33 +52,26 @@ def coerce_policy(value) -> str:
 
 
 def abft_operands(request: InferenceRequest) -> Optional[tuple]:
-    """``(a, b, c, alpha, beta)`` when the request's final output is a
-    gemm-family product the ABFT residues can verify, else None.
+    """``(a, b, c, alpha, beta)`` when the request is a single gemm-family
+    or ``fc`` node, whose output the ABFT residues can verify, else None.
 
-    Graph requests are never covered — their final output is a composite
-    of several kernels — and neither are convolutions; those fall back
-    to digest/DMR checking.
+    Multi-node graphs are never covered — their final output is a
+    composite of several kernels — and neither are convolutions; those
+    fall back to digest/DMR checking.
     """
     payload = request.payload
-    if request.kind == "gemm":
-        return (
-            payload["a"],
-            payload["b"],
-            payload["c"],
-            payload["alpha"],
-            payload["beta"],
-        )
-    if request.kind == "kernel":
-        func5 = payload["func5"]
-        if func5 in (0, FUNC5_CGEMM):
-            a, b, c = payload["inputs"]
-            params = payload.get("params") or ()
-            alpha = params[0] if len(params) > 0 else 1
-            beta = params[1] if len(params) > 1 else 0
-            return a, b, c, alpha, beta
-        if func5 == FUNC5_FC:
-            x, w, bias = payload["inputs"]
-            return x, w, bias, 1, 1
+    if len(payload["nodes"]) != 1:
+        return None
+    (node,) = payload["nodes"]
+    inputs = [payload["inputs"][name] for name in node.inputs]
+    if node.func5 in (0, FUNC5_CGEMM):
+        a, b, c = inputs
+        alpha = node.params[0] if len(node.params) > 0 else 1
+        beta = node.params[1] if len(node.params) > 1 else 0
+        return a, b, c, alpha, beta
+    if node.func5 == FUNC5_FC:
+        x, w, bias = inputs
+        return x, w, bias, 1, 1
     return None
 
 
@@ -95,33 +88,34 @@ def _update_array(h: "hashlib._Hash", array: np.ndarray) -> None:
 
 
 def request_digest(request: InferenceRequest) -> bytes:
-    """A stable content digest of everything that determines the output."""
+    """A stable content digest of everything that determines the output.
+
+    Hashes the request's graph, not its ``kind`` label or tensor names:
+    each node's slot, params, output shape and dtype with its operands
+    as positions in first-use order, every input array at its first
+    use, and the output's position.  So a gemm built by
+    :func:`~repro.serve.request.gemm_request`, by ``kernel_request`` on
+    slot 0 or as a one-node graph digests the same.
+    """
     h = hashlib.blake2b(digest_size=16)
-    h.update(request.kind.encode())
     payload = request.payload
-    if request.kind == "gemm":
-        for key in ("a", "b", "c"):
-            _update_array(h, payload[key])
-        h.update(repr((int(payload["alpha"]), int(payload["beta"]))).encode())
-    elif request.kind == "kernel":
-        h.update(repr((payload["func5"], tuple(payload.get("params") or ()))).encode())
-        h.update(repr((tuple(payload["out_shape"]), str(payload.get("dtype")))).encode())
-        for array in payload["inputs"]:
-            _update_array(h, array)
-    elif request.kind == "conv_layer":
-        for key in sorted(payload):
-            value = payload[key]
-            h.update(key.encode())
-            if isinstance(value, np.ndarray):
-                _update_array(h, value)
-            else:
-                h.update(repr(value).encode())
-    else:  # graph
-        for name in sorted(payload["inputs"]):
-            h.update(name.encode())
-            _update_array(h, payload["inputs"][name])
-        h.update(repr(payload["nodes"]).encode())
-        h.update(str(payload["output"]).encode())
+    position: Dict[str, int] = {}
+
+    def ref(name: str) -> int:
+        if name not in position:
+            position[name] = len(position)
+            if name in payload["inputs"]:
+                _update_array(h, payload["inputs"][name])
+        return position[name]
+
+    for node in payload["nodes"]:
+        operands = tuple(ref(name) for name in node.inputs)
+        dtype = None if node.dtype is None else np.dtype(node.dtype).str
+        h.update(repr((
+            node.func5, tuple(int(p) for p in node.params), node.out_shape,
+            dtype, operands, ref(node.name),
+        )).encode())
+    h.update(repr(ref(payload["output"])).encode())
     return h.digest()
 
 

@@ -30,11 +30,11 @@ attempt, *before* execution, so a report is a pure function of
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.compiler import FUNC5_CGEMM, NAME_BY_FUNC5, geometry_key
 from repro.serve.faults import (
     PROBATION,
     QUARANTINED,
@@ -160,57 +160,48 @@ def estimate_service_cycles(
 ) -> int:
     """Deterministic service-cost estimate for shortest-job-first ranking.
 
-    With a :class:`~repro.compiler.tune.ScheduleCache` and the pool's
-    :class:`~repro.core.config.ArcaneConfig`, a library-kernel request
-    whose ``(kernel, geometry, config)`` has been autotuned returns the
-    cache's **measured** simulated cycles — ground truth from the tuner's
-    runs — instead of an estimate.  Otherwise, where the kernel
-    semantics are known the estimate mirrors the compiled kernel's loop
-    trip counts (a gemm macc-accumulates ``m * n * k`` elements; a conv
-    layer visits every output pixel once per filter tap); for opaque
-    single-kernel and graph requests it falls back to operand + output
-    volume.  The unit is arbitrary — only the *ordering* matters, and it
-    is a pure function of the request (and the cache contents), so every
-    run ranks identically.
+    The estimate is the sum over the request's nodes:
+
+    * a gemm-family node (slot 0 or ``cgemm``) counts ``m * n * (k + 2)``,
+      the compiled kernel's multiply-accumulate trip count;
+    * a conv-layer node (slot 4) counts image volume times filter volume
+      (every output pixel visits every filter tap);
+    * any other node counts its input plus output volume;
+    * a node whose ``(kernel, geometry, config)`` has tuned cycles in
+      the :class:`~repro.compiler.tune.ScheduleCache` (given the cache
+      and the pool's :class:`~repro.core.config.ArcaneConfig`) counts
+      those **measured** simulated cycles instead.
+
+    The unit is arbitrary — only the *ordering* matters, and it is a
+    pure function of the request (and the cache contents), so every run
+    ranks identically.
     """
     payload = request.payload
-
-    if (
-        schedule_cache is not None
-        and config is not None
-        and request.kind == "kernel"
-    ):
-        from repro.compiler.library import NAME_BY_FUNC5
-        from repro.compiler.tune import geometry_key
-
-        name = NAME_BY_FUNC5.get(payload["func5"])
-        if name is not None and payload["inputs"]:
-            geometry = geometry_key(
-                [np.asarray(m).shape for m in payload["inputs"]],
-                np.asarray(payload["inputs"][0]).dtype,
-                payload["params"],
+    # tensor name -> (shape, dtype), for inputs and every node's output
+    tensors = {
+        name: (array.shape, array.dtype) for name, array in payload["inputs"].items()
+    }
+    total = 0
+    for node in payload["nodes"]:
+        shapes = [tensors[name][0] for name in node.inputs]
+        dtype = tensors[node.inputs[0]][1] if node.inputs else None
+        tensors[node.name] = (node.out_shape, dtype if node.dtype is None else node.dtype)
+        name = NAME_BY_FUNC5.get(node.func5)
+        if schedule_cache is not None and config is not None and name and shapes:
+            measured = schedule_cache.measured_cycles(
+                name, geometry_key(shapes, dtype, node.params), config
             )
-            measured = schedule_cache.measured_cycles(name, geometry, config)
             if measured is not None:
-                return int(measured)
-
-    def volume(array) -> int:
-        return int(np.asarray(array).size)
-
-    if request.kind == "gemm":
-        m, k = payload["a"].shape
-        n = payload["b"].shape[1]
-        return m * n * (k + 2)
-    if request.kind == "conv_layer":
-        return volume(payload["image"]) * volume(payload["filters"])
-    if request.kind == "kernel":
-        out_rows, out_cols = payload["out_shape"]
-        return sum(volume(m) for m in payload["inputs"]) + out_rows * out_cols
-    if request.kind == "graph":
-        return sum(volume(m) for m in payload["inputs"].values()) + sum(
-            node.out_shape[0] * node.out_shape[1] for node in payload["nodes"]
-        )
-    return 1
+                total += int(measured)
+                continue
+        if node.func5 in (0, FUNC5_CGEMM):
+            m, n = node.out_shape
+            total += m * n * (shapes[0][1] + 2)
+        elif node.func5 == 4:
+            total += math.prod(shapes[0]) * math.prod(shapes[1])
+        else:
+            total += sum(map(math.prod, shapes)) + math.prod(node.out_shape)
+    return total
 
 
 @dataclass(frozen=True)

@@ -164,32 +164,33 @@ class ServingEngine:
     def _autotune_requests(self, requests: Sequence[InferenceRequest]) -> None:
         """Count library-kernel keys; retune and swap the ones that go hot.
 
-        Runs before dispatch: every compiled library-kernel request bumps
-        its ``(kernel, geometry)`` hit count, and a key crossing the
-        policy threshold gets one tuner search on the request's actual
-        operands.  A winner that beats the stock recipe is re-registered
-        into every pool worker (tuned outputs were checked bit-exact
-        against the default during the search, and the library generation
-        bump drops stale replay recordings).
+        Runs before dispatch: every request that is a single compiled
+        library-kernel node bumps its ``(kernel, geometry)`` hit count,
+        and a key crossing the policy threshold gets one tuner search on
+        the request's actual operands.  A winner that beats the stock
+        recipe is re-registered into every pool worker (tuned outputs
+        were checked bit-exact against the default during the search,
+        and the library generation bump drops stale replay recordings).
         """
         if self._tuner is None:
             return
         for request in requests:
-            if request.kind != "kernel":
+            nodes = request.payload["nodes"]
+            if len(nodes) != 1:
                 continue
-            payload = request.payload
-            name = NAME_BY_FUNC5.get(payload["func5"])
-            if name is None or not payload["inputs"]:
+            (node,) = nodes
+            name = NAME_BY_FUNC5.get(node.func5)
+            if name is None or not node.inputs:
                 continue
-            inputs = [np.asarray(m) for m in payload["inputs"]]
+            inputs = [np.asarray(request.payload["inputs"][t]) for t in node.inputs]
             geometry = geometry_key(
-                [m.shape for m in inputs], inputs[0].dtype, payload["params"]
+                [m.shape for m in inputs], inputs[0].dtype, node.params
             )
             key = (name, geometry)
             self._hot_counts[key] = self._hot_counts.get(key, 0) + 1
             if key in self._tuned or self._hot_counts[key] < self.autotune.threshold:
                 continue
-            result = self._tuner.tune(name, inputs, params=payload["params"])
+            result = self._tuner.tune(name, inputs, params=node.params)
             record = result.as_dict()
             record["swapped"] = result.best_recipe != result.default_recipe
             if record["swapped"]:

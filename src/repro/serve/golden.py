@@ -1,15 +1,15 @@
 """Numpy oracles for serving requests (result verification).
 
 Maps library slots (func5) to the hardware-exact golden models in
-:mod:`repro.baselines.reference`, and evaluates whole requests — including
-graph requests, by interpreting the node chain over numpy arrays.  The
+:mod:`repro.baselines.reference`, and evaluates whole requests by
+interpreting their node chain over numpy arrays.  The
 engine's ``verify=True`` path and the serving tests both check every
 served output against these.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -120,19 +120,11 @@ def kernel_golden(func5: int, inputs: Sequence[np.ndarray], params: Sequence[int
 
 
 def expected_output(request: InferenceRequest) -> np.ndarray:
-    """Evaluate one request on the numpy oracles."""
+    """Evaluate one request's node chain on the numpy oracles."""
     payload = request.payload
-    if request.kind == "gemm":
-        return ref_gemm(payload["a"], payload["b"], payload["c"],
-                        payload["alpha"], payload["beta"])
-    if request.kind == "conv_layer":
-        return ref_conv_layer(payload["image"], payload["filters"])
-    if request.kind == "kernel":
-        return kernel_golden(payload["func5"], payload["inputs"], payload["params"])
-    if request.kind == "graph":
-        env: Dict[str, np.ndarray] = dict(payload["inputs"])
-        for node in payload["nodes"]:
-            inputs: List[np.ndarray] = [env[name] for name in node.inputs]
-            env[node.name] = kernel_golden(node.func5, inputs, node.params)
-        return env[payload["output"]]
-    raise ValueError(f"unknown request kind {request.kind!r}")
+    env: Dict[str, np.ndarray] = dict(payload["inputs"])
+    for node in payload["nodes"]:
+        env[node.name] = kernel_golden(
+            node.func5, [env[name] for name in node.inputs], node.params
+        )
+    return env[payload["output"]]

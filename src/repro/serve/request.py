@@ -1,10 +1,14 @@
 """Request/response types for the multi-request serving engine.
 
 An :class:`InferenceRequest` is one independent unit of work a client
-submits to the :class:`~repro.serve.engine.ServingEngine`: a GeMM, an
-``xmk4`` convolutional layer, any single library kernel (handwritten or
-compiled), or a small *graph* of kernels chained through named tensors.
-Requests carry plain numpy operands.
+submits to the :class:`~repro.serve.engine.ServingEngine`.  It has one
+shape: a small *graph* of library kernels (:class:`GraphNode`) chained
+through named tensors, over plain numpy inputs — the host's one
+instruction form, ``xmr`` operand bindings plus an ``xmk`` by func5.  A
+GeMM, an ``xmk4`` convolutional layer and any single library kernel
+(handwritten or compiled) are one-node graphs built by
+:func:`gemm_request`, :func:`conv_layer_request` and
+:func:`kernel_request`; :func:`graph_request` builds longer chains.
 
 A :class:`RequestResult` is the matching response: the output matrix,
 the per-request :class:`~repro.core.system.RunReport`(s), and the
@@ -19,40 +23,20 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.system import RunReport
+from repro.runtime.kernels.conv_layer import conv_layer_shapes
 from repro.runtime.phases import PhaseBreakdown
 
-#: Request kinds understood by the worker dispatch table.
+#: Request labels: which constructor built the request.  They name the
+#: request in reports, spans and error messages; execution never reads them.
 KINDS = ("gemm", "conv_layer", "kernel", "graph")
 
 #: Lifecycle states a :class:`RequestResult` can end in.
 STATUSES = ("ok", "failed", "timed_out", "shed", "corrupted")
 
 
-def validate_out_shape(out_shape, where: str) -> Tuple[int, int]:
-    """Check an output shape at request-construction time.
-
-    ``SystemWorker._run_kernel`` assumes a 2-tuple of positive dims;
-    validating here turns a deep, cryptic worker failure into a clear
-    error at the API boundary.
-    """
-    try:
-        shape = tuple(int(d) for d in out_shape)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{where}: out_shape must be a (rows, cols) pair of ints, "
-            f"got {out_shape!r}"
-        ) from None
-    if len(shape) != 2 or any(d <= 0 for d in shape):
-        raise ValueError(
-            f"{where}: out_shape must be a (rows, cols) pair of positive "
-            f"dims, got {out_shape!r}"
-        )
-    return shape  # type: ignore[return-value]
-
-
 @dataclass
 class GraphNode:
-    """One kernel invocation inside a graph request.
+    """One kernel invocation inside a request's graph.
 
     ``inputs`` name either request-level input tensors or the outputs of
     earlier nodes; ``name`` is the tensor this node produces.
@@ -66,14 +50,35 @@ class GraphNode:
     dtype: Optional[Any] = None  # defaults to the first input's dtype
 
     def __post_init__(self) -> None:
-        self.out_shape = validate_out_shape(
-            self.out_shape, f"graph node {self.name!r}"
-        )
+        # the worker allocates a (rows, cols) matrix: reject anything else
+        # here, at the API boundary, instead of deep inside a run
+        where = f"graph node {self.name!r}"
+        try:
+            shape = tuple(int(d) for d in self.out_shape)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{where}: out_shape must be a (rows, cols) pair of ints, "
+                f"got {self.out_shape!r}"
+            ) from None
+        if len(shape) != 2 or any(d <= 0 for d in shape):
+            raise ValueError(
+                f"{where}: out_shape must be a (rows, cols) pair of positive "
+                f"dims, got {self.out_shape!r}"
+            )
+        self.out_shape = shape  # type: ignore[assignment]
 
 
 @dataclass
 class InferenceRequest:
     """One independent inference job for the serving engine.
+
+    ``payload`` is always a kernel graph: ``inputs`` (tensor name ->
+    numpy array), ``nodes`` (:class:`GraphNode` list in execution order)
+    and ``output`` (the node tensor returned).  Every constructor below
+    builds that one shape — a GeMM is a one-node graph on slot 0 — so
+    execution, golden models, integrity checks and cost estimates read
+    nodes.  ``kind`` is only a label (one of :data:`KINDS`) naming the
+    constructor, for reports and error messages.
 
     ``arrival_cycle`` places the request in the pool's simulated-cycle
     domain for online serving (:meth:`ServingEngine.serve_online`);
@@ -123,9 +128,9 @@ def gemm_request(
     """D = alpha * (A @ B) + beta * C on the handwritten ``xmk0`` kernel."""
     if c is None:
         c = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
-    return InferenceRequest(
-        request_id, "gemm",
-        {"a": a, "b": b, "c": c, "alpha": int(alpha), "beta": int(beta)},
+    return _single_kernel(
+        request_id, "gemm", 0, {"a": a, "b": b, "c": c},
+        (a.shape[0], b.shape[1]), (alpha, beta),
     )
 
 
@@ -133,8 +138,9 @@ def conv_layer_request(
     request_id: int, image: np.ndarray, filters: np.ndarray
 ) -> InferenceRequest:
     """The paper's Listing-1 workload: conv + ReLU + 2x2 max pool (xmk4)."""
-    return InferenceRequest(
-        request_id, "conv_layer", {"image": image, "filters": filters}
+    _, _, _, pooled = conv_layer_shapes(*image.shape, *filters.shape)
+    return _single_kernel(
+        request_id, "conv_layer", 4, {"image": image, "filters": filters}, pooled
     )
 
 
@@ -147,15 +153,10 @@ def kernel_request(
     dtype: Optional[Any] = None,
 ) -> InferenceRequest:
     """Any single library kernel by slot — handwritten or compiled."""
-    return InferenceRequest(
-        request_id, "kernel",
-        {
-            "func5": int(func5),
-            "inputs": list(inputs),
-            "out_shape": validate_out_shape(out_shape, "kernel request"),
-            "params": tuple(int(p) for p in params),
-            "dtype": dtype,
-        },
+    return _single_kernel(
+        request_id, "kernel", func5,
+        {f"x{i}": array for i, array in enumerate(inputs)},
+        out_shape, params, dtype,
     )
 
 
@@ -167,6 +168,33 @@ def graph_request(
 ) -> InferenceRequest:
     """A chain/DAG of kernels over named tensors; ``output`` defaults to
     the last node's tensor."""
+    return _graph(request_id, "graph", inputs, nodes, output)
+
+
+def _single_kernel(
+    request_id: int,
+    kind: str,
+    func5: int,
+    inputs: Dict[str, np.ndarray],
+    out_shape: Tuple[int, int],
+    params: Sequence[int] = (),
+    dtype: Optional[Any] = None,
+) -> InferenceRequest:
+    """A one-node graph: ``func5`` over every input, in order."""
+    node = GraphNode(
+        "out", int(func5), tuple(inputs), out_shape,
+        tuple(int(p) for p in params), dtype,
+    )
+    return _graph(request_id, kind, inputs, [node])
+
+
+def _graph(
+    request_id: int,
+    kind: str,
+    inputs: Dict[str, np.ndarray],
+    nodes: Sequence[GraphNode],
+    output: Optional[str] = None,
+) -> InferenceRequest:
     nodes = list(nodes)
     if not nodes:
         raise ValueError("graph request needs at least one node")
@@ -184,7 +212,7 @@ def graph_request(
     if output not in {n.name for n in nodes}:
         raise ValueError(f"graph output {output!r} is not produced by any node")
     return InferenceRequest(
-        request_id, "graph", {"inputs": dict(inputs), "nodes": nodes, "output": output}
+        request_id, kind, {"inputs": dict(inputs), "nodes": nodes, "output": output}
     )
 
 

@@ -40,7 +40,7 @@ from repro.serve.faults import (
     SilentCorruptionError,
     WorkerCrashError,
 )
-from repro.serve.request import GraphNode, InferenceRequest, RequestResult
+from repro.serve.request import InferenceRequest, RequestResult
 from repro.xbridge.bridge import OffloadOutcome
 
 
@@ -127,7 +127,7 @@ class SystemWorker:
         if directives:
             surface.arm(directives)
         try:
-            output, reports = self._dispatch(request)
+            output, reports = self._execute(request)
             for report in reports:
                 killed = [o for o in report.outcomes if o is OffloadOutcome.KILLED]
                 if killed:
@@ -322,7 +322,7 @@ class SystemWorker:
         if cache is not None:
             cache.suspended = True
         try:
-            return self._dispatch(request)
+            return self._execute(request)
         finally:
             if cache is not None:
                 cache.suspended = restore
@@ -359,85 +359,34 @@ class SystemWorker:
         else:
             self.last_recovery = {"via": "reset", "error": None}
 
-    def _dispatch(self, request: InferenceRequest) -> Tuple[np.ndarray, List[RunReport]]:
-        payload = request.payload
-        if request.kind == "gemm":
-            return self._run_gemm(**payload)
-        if request.kind == "conv_layer":
-            return self._run_conv_layer(payload["image"], payload["filters"])
-        if request.kind == "kernel":
-            output, report, _ = self._run_kernel(
-                payload["func5"], payload["inputs"], payload["out_shape"],
-                payload["params"], payload["dtype"],
-            )
-            return output, [report]
-        if request.kind == "graph":
-            return self._run_graph(payload["inputs"], payload["nodes"], payload["output"])
-        raise ValueError(f"unknown request kind {request.kind!r}")
+    def _execute(self, request: InferenceRequest) -> Tuple[np.ndarray, List[RunReport]]:
+        """Run the request's node chain; intermediates stay resident.
 
-    def _run_gemm(self, a, b, c, alpha, beta) -> Tuple[np.ndarray, List[RunReport]]:
-        system = self.system
-        ma, mb, mc = (system.place_matrix(m) for m in (a, b, c))
-        out = system.alloc_matrix((a.shape[0], b.shape[1]), a.dtype)
-        with system.program() as prog:
-            prog.xmr(0, ma).xmr(1, mb).xmr(2, mc).xmr(3, out)
-            prog.gemm(dest=3, a=0, b=1, c=2, alpha=alpha, beta=beta,
-                      suffix=ma.etype.suffix)
-        return system.read_matrix(out), [system.last_report]
-
-    def _run_conv_layer(self, image, filters) -> Tuple[np.ndarray, List[RunReport]]:
-        output, report = self.system.run_conv_layer(image, filters)
-        return output, [report]
-
-    def _run_kernel(
-        self,
-        func5: int,
-        inputs: Sequence[np.ndarray],
-        out_shape: Tuple[int, int],
-        params: Sequence[int],
-        dtype: Optional[Any] = None,
-        handles: Optional[Sequence[Matrix]] = None,
-    ) -> Tuple[np.ndarray, RunReport, Matrix]:
-        """One library kernel (any slot) over fresh or pre-placed operands."""
-        system = self.system
-        if handles is None:
-            handles = [system.place_matrix(m) for m in inputs]
-        dtype = np.dtype(dtype) if dtype is not None else handles[0].dtype
-        out = system.alloc_matrix(tuple(out_shape), dtype)
-        with system.program() as prog:
-            for register, handle in enumerate(handles):
-                prog.xmr(register, handle)
-            prog.xmr(len(handles), out)
-            offload_compiled(
-                prog, func5, out.etype.suffix, dest=len(handles),
-                sources=list(range(len(handles))), params=list(params),
-            )
-        return system.read_matrix(out), system.last_report, out
-
-    def _run_graph(
-        self, inputs: Dict[str, np.ndarray], nodes: Sequence[GraphNode], output: str
-    ) -> Tuple[np.ndarray, List[RunReport]]:
-        """Run a node chain; intermediates stay resident in system memory.
-
-        Each node is one host program (its own offload batch); a consumer
-        reads its producer's output through the LLC, so warm results are
-        served from cache lines the producer's write-back just filled.
+        Each node is one host program (its own offload batch): ``xmr``
+        binds its operands to registers 0.. and its output to the next,
+        then one ``xmk`` by func5.  A consumer reads its producer's
+        output through the LLC, so warm results are served from cache
+        lines the producer's write-back just filled.
         """
         system = self.system
+        payload = request.payload
         env: Dict[str, Matrix] = {
-            name: system.place_matrix(array, name) for name, array in inputs.items()
+            name: system.place_matrix(array, name)
+            for name, array in payload["inputs"].items()
         }
         reports: List[RunReport] = []
-        result: Optional[np.ndarray] = None
-        for node in nodes:
+        for node in payload["nodes"]:
             handles = [env[name] for name in node.inputs]
-            value, report, out_handle = self._run_kernel(
-                node.func5, [], node.out_shape, node.params,
-                dtype=node.dtype or handles[0].dtype, handles=handles,
-            )
-            reports.append(report)
-            env[node.name] = out_handle
-            if node.name == output:
-                result = value
-        assert result is not None  # graph_request validated the output name
-        return result, reports
+            dtype = np.dtype(node.dtype) if node.dtype is not None else handles[0].dtype
+            out = system.alloc_matrix(node.out_shape, dtype, node.name)
+            with system.program() as prog:
+                for register, handle in enumerate(handles):
+                    prog.xmr(register, handle)
+                prog.xmr(len(handles), out)
+                offload_compiled(
+                    prog, node.func5, out.etype.suffix, dest=len(handles),
+                    sources=list(range(len(handles))), params=list(node.params),
+                )
+            reports.append(system.last_report)
+            env[node.name] = out
+        return system.read_matrix(env[payload["output"]]), reports

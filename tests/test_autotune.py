@@ -434,7 +434,7 @@ class TestServingEstimates:
         heuristic = estimate_service_cycles(request)
         cache = ScheduleCache()
         geometry = geometry_key(
-            [m.shape for m in request.payload["inputs"]], np.int16, [2, -1]
+            [m.shape for m in request.payload["inputs"].values()], np.int16, [2, -1]
         )
         cache.put(
             NAME_BY_FUNC5[FUNC5_CGEMM], geometry, SMALL,
@@ -455,7 +455,7 @@ class TestServingEstimates:
         request = _gemm_kernel_request(0, rng)
         cache = ScheduleCache()
         geometry = geometry_key(
-            [m.shape for m in request.payload["inputs"]], np.int16, [2, -1]
+            [m.shape for m in request.payload["inputs"].values()], np.int16, [2, -1]
         )
         cache.put("cgemm", geometry, SMALL,
                   TunedSchedule(Recipe([("vectorize", "j")]), 555, 900, 3))
@@ -534,7 +534,7 @@ class TestServingAutotune:
         )
         probe = _gemm_kernel_request(0, rng)
         geometry = geometry_key(
-            [m.shape for m in probe.payload["inputs"]], np.int16, [2, -1]
+            [m.shape for m in probe.payload["inputs"].values()], np.int16, [2, -1]
         )
         variant = Recipe([("strip_mine", "k"), ("vectorize", "j")])
         engine.schedule_cache.put(

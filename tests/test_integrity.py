@@ -126,8 +126,8 @@ class TestPoliciesAndCoverage:
         assert covered(gemm)
         conv = conv_layer_request(
             1,
-            rng.integers(0, 5, (6, 6)).astype(np.int16),
-            rng.integers(-2, 2, (3, 3)).astype(np.int16),
+            rng.integers(0, 5, (18, 8)).astype(np.int16),
+            rng.integers(-2, 2, (9, 3)).astype(np.int16),
         )
         assert not covered(conv)
 
@@ -143,7 +143,7 @@ class TestPoliciesAndCoverage:
     def test_request_digest_tracks_payload(self, rng):
         first, second = gemm_batch(rng, 2)
         # request_id is not part of the identity; operands are
-        clone = gemm_request(99, first.payload["a"], first.payload["b"])
+        clone = gemm_request(99, first.payload["inputs"]["a"], first.payload["inputs"]["b"])
         assert request_digest(first) == request_digest(clone)
         assert request_digest(first) != request_digest(second)
 

@@ -135,6 +135,62 @@ class TestRequestValidation:
             graph_request(0, {"a": a}, nodes, output="elsewhere")
 
 
+def _served(request, fastpath):
+    """(output, sim_cycles, per-report simulated record) of two runs on
+    one fresh worker: the second replays the first's recording when the
+    fast path is on."""
+    worker = SystemWorker(0, CFG.with_fastpath(fastpath))
+    runs = []
+    for _ in range(2):
+        result = worker.run(request)
+        runs.append((
+            result.output.tobytes(), result.output.shape, result.sim_cycles,
+            [
+                (r.total_cycles, r.host_cycles, r.breakdown.as_dict(), r.stats)
+                for r in result.reports
+            ],
+        ))
+    return runs
+
+
+class TestConstructorEquivalence:
+    """Every constructor builds one kernel graph: the same kernel on the
+    same operands serves, digests and ranks identically whichever
+    constructor built it."""
+
+    def _assert_equivalent(self, requests):
+        from repro.integrity.check import request_digest
+        from repro.serve.dispatch import estimate_service_cycles
+
+        first, *rest = requests
+        for fastpath in (True, False):
+            served = _served(first, fastpath)
+            for other in rest:
+                assert _served(other, fastpath) == served, other.kind
+        for other in rest:
+            assert request_digest(other) == request_digest(first), other.kind
+            assert estimate_service_cycles(other) == estimate_service_cycles(first)
+
+    def test_gemm_kernel_and_graph_agree(self, rng):
+        a = rng.integers(-5, 5, (6, 8)).astype(np.int16)
+        b = rng.integers(-5, 5, (8, 10)).astype(np.int16)
+        c = rng.integers(-5, 5, (6, 10)).astype(np.int16)
+        node = GraphNode("d", 0, ("a", "b", "c"), (6, 10), params=(2, -1))
+        self._assert_equivalent([
+            gemm_request(0, a, b, c, 2, -1),
+            kernel_request(0, 0, [a, b, c], (6, 10), (2, -1)),
+            graph_request(0, {"a": a, "b": b, "c": c}, [node]),
+        ])
+
+    def test_conv_layer_and_kernel_agree(self, rng):
+        x = rng.integers(-8, 8, (3 * 12, 12)).astype(np.int8)
+        f = rng.integers(-2, 3, (9, 3)).astype(np.int8)
+        self._assert_equivalent([
+            conv_layer_request(0, x, f),
+            kernel_request(0, 4, [x, f], (5, 5)),
+        ])
+
+
 class TestServingReport:
     def test_json_round_trip(self, rng):
         engine = ServingEngine(pool_size=2, config=CFG)
