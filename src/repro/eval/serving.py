@@ -382,7 +382,7 @@ def build_serving_report(
     availability = {
         "success_rate": round(statuses["ok"] / n, 6) if n else 1.0,
         "statuses": statuses,
-        "attempts": sum(r.attempts for r in results),
+        "attempts": health.get("attempts", sum(r.attempts for r in results)),
         "retries": health.get("retries", sum(r.attempts - 1 for r in results)),
         "failovers": health.get("failovers", 0),
         "failed_attempts_by_class": health.get("failed_attempts_by_class", {}),

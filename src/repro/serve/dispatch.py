@@ -99,8 +99,9 @@ def fold_tallies(
     """Fold an event log into (availability tally, corruption-escalation
     tally, ids of requests with a ``corrupted`` failure).
 
-    The availability tally counts retries, failovers and failed attempts
-    by fault class (in first-failure order); ``worker_events`` lists the
+    The availability tally counts attempts (one ``dispatch`` or ``fail``
+    entry each, so shed requests count none), retries, failovers and
+    failed attempts by fault class (in first-failure order); ``worker_events`` lists the
     health transitions as ``{"cycle", "worker", "event"}`` dicts, and
     ``workers`` maps each worker that recovered to its ``recoveries``
     (fails recovered by ``reset``) and ``rebuilds`` (fails recovered by
@@ -111,7 +112,8 @@ def fold_tallies(
     worker_events: List[Dict] = []
     workers: Dict[int, Dict[str, int]] = {}
     tally: Dict = {
-        "retries": 0, "failovers": 0, "failed_attempts_by_class": by_class,
+        "attempts": 0, "retries": 0, "failovers": 0,
+        "failed_attempts_by_class": by_class,
         "worker_events": worker_events, "workers": workers,
     }
     corruption = {"escalations": 0, "bypass_retries": 0, "failover_escalations": 0}
@@ -126,6 +128,7 @@ def fold_tallies(
         if kind == RETRY:
             tally["retries"] += 1
         elif kind in (DISPATCH, FAIL):
+            tally["attempts"] += 1
             tally["failovers"] += event.failover
             seen = event.request_id in corrupted
             corruption["bypass_retries"] += seen

@@ -132,9 +132,14 @@ def stream_record(report) -> dict:
 
 
 def assert_folds_of_the_log(report):
-    """The health record, the instants and the recovery counters are
-    folds of the one dispatch log, and the log is in cycle order."""
+    """The health record, the instants, the attempt count and the
+    recovery counters are folds of the one dispatch log, and the log is
+    in cycle order."""
     log = report.dispatch_events
+    # an attempt is a dispatch or a fail entry; a shed request made none
+    assert report.availability["attempts"] == sum(
+        e.kind in ("dispatch", "fail") for e in log
+    )
     health = [e for e in log if e.kind in ("quarantined", "probation", "reinstated")]
     assert report.availability["worker_events"] == [
         {"cycle": e.cycle, "worker": e.worker, "event": e.kind} for e in health
