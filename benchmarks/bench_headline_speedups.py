@@ -39,7 +39,7 @@ def test_headline_speedups(benchmark, headlines):
          f"{anchor('speedup_int8_7x7_8lane').paper_value:.0f}x",
          f"{headlines['speedup_int8_7x7_8lane']:.1f}x"],
         ["int8 7x7 vs XCVPULP",
-         "16x",
+         f"{anchor('speedup_vs_pulp_7x7').paper_value:.0f}x",
          f"{headlines['speedup_vs_pulp_7x7']:.1f}x"],
         ["CV32E40PX int8 3x3 vs scalar",
          f"{anchor('speedup_pulp_int8_3x3').paper_value:.0f}x",

@@ -26,10 +26,13 @@ VPU throughput               NM-Carus: ``lanes`` 32-bit lanes, sub-word
                              the allocation-phase share near Figure 3's
                              saturation levels
 DecodeCosts (60/180/40/600)  C-RT interrupt entry / xmr bind / library
-                             lookup / kernel preamble in eCPU cycles;
-                             sized so the preamble phase dominates small
-                             inputs (~60 %) and falls below 3 % at large
-                             inputs, the trend of Figure 3
+                             lookup / kernel preamble in eCPU cycles.
+                             Not a fit either: ``paper_cnn`` measures a
+                             preamble share of 33.6 % at small and
+                             2.40 % at large inputs against Figure 3's
+                             60 % and 2.89 %; the falling trend holds.
+                             Refitting waits on ROADMAP item 3 (set
+                             last, since every slower phase lowers it)
 Area model coefficients      solved exactly from Table II (see
                              :mod:`repro.eval.area`)
 Multicore alpha = 0.052      back-solved from the paper's "theoretical
@@ -65,6 +68,8 @@ PAPER_ANCHORS: Tuple[Anchor, ...] = (
            "section V-C: CV32E40PX scaling peak"),
     Anchor("speedup_multi_instance", 120.0, "x vs CV32E40X",
            "section V-C: 4 VPUs x 8 lanes multi-instance mode"),
+    Anchor("speedup_vs_pulp_7x7", 16.0, "x vs CV32E40PX",
+           "section VI: 256x256x3 int8, 7x7 filter"),
     Anchor("area_overhead_8lane", 41.3, "% vs X-HEEP",
            "abstract / Table II"),
     Anchor("area_overhead_4lane", 28.3, "% vs X-HEEP", "Table II"),
