@@ -138,7 +138,9 @@ def conv_layer_request(
     request_id: int, image: np.ndarray, filters: np.ndarray
 ) -> InferenceRequest:
     """The paper's Listing-1 workload: conv + ReLU + 2x2 max pool (xmk4)."""
-    _, _, _, pooled = conv_layer_shapes(*image.shape, *filters.shape)
+    _, _, _, pooled = conv_layer_shapes(
+        image.shape[0], image.shape[1], filters.shape[0], filters.shape[1]
+    )
     return _single_kernel(
         request_id, "conv_layer", 4, {"image": image, "filters": filters}, pooled
     )
