@@ -59,6 +59,7 @@ from repro.serve.faults import (
 )
 from repro.serve.fleet import FleetReplayCache
 from repro.serve.golden import expected_output, kernel_golden
+from repro.serve.memo import ResultMemo
 from repro.serve.request import (
     KINDS,
     STATUSES,
@@ -101,6 +102,7 @@ __all__ = [
     "OnlineEvent",
     "RequestRejected",
     "RequestResult",
+    "ResultMemo",
     "RetryPolicy",
     "SerialPool",
     "ServingEngine",

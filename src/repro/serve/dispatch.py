@@ -44,6 +44,7 @@ from repro.serve.faults import (
     WorkerCrashError,
     WorkerSupervisor,
 )
+from repro.serve.memo import ResultMemo
 from repro.serve.request import InferenceRequest, RequestResult
 from repro.serve.worker import SystemWorker
 
@@ -265,12 +266,22 @@ class AdmissionPolicy:
 
 class SerialPool:
     """The pool the core executes on: in-process :class:`SystemWorker`
-    instances, addressed by :attr:`SystemWorker.index`."""
+    instances, addressed by :attr:`SystemWorker.index`.
 
-    def __init__(self, workers: Sequence[SystemWorker]) -> None:
+    With a :class:`~repro.serve.memo.ResultMemo` the pool looks every
+    attempt up before running it: a hit is served from the stored clean
+    result (:meth:`SystemWorker.recall`), a miss runs and is stored.
+    Attempts with corruption directives and escalation retries
+    (``bypass_fastpath``) neither read nor write the memo.
+    """
+
+    def __init__(
+        self, workers: Sequence[SystemWorker], memo: Optional[ResultMemo] = None
+    ) -> None:
         if not workers:
             raise ValueError("pool needs at least one worker")
         self.workers = {worker.index: worker for worker in workers}
+        self.memo = memo
 
     @property
     def indices(self) -> List[int]:
@@ -286,10 +297,29 @@ class SerialPool:
         directives: Sequence = (),
         bypass_fastpath: bool = False,
     ) -> RequestResult:
-        return self.workers[worker].run(
-            request, attempt=attempt, observe=observe, slow_factor=slow_factor,
-            directives=directives, bypass_fastpath=bypass_fastpath,
+        runner = self.workers[worker]
+        memo = self.memo
+        if memo is None or directives or bypass_fastpath:
+            return runner.run(
+                request, attempt=attempt, observe=observe, slow_factor=slow_factor,
+                directives=directives, bypass_fastpath=bypass_fastpath,
+            )
+        key = runner.memo_key(request)
+        stored = memo.lookup(key)
+        if stored is not None:
+            return runner.recall(
+                request, stored, attempt=attempt, observe=observe,
+                slow_factor=slow_factor,
+            )
+        # collect the launch records either way: a later observed hit
+        # serves copies of them
+        result = runner.run(
+            request, attempt=attempt, observe=True, slow_factor=slow_factor
         )
+        memo.remember(key, result)
+        if not observe:
+            result.launches = []
+        return result
 
     def apply_injected(self, worker: int, error: ServingError) -> None:
         self.workers[worker].apply_injected(error)

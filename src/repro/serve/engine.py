@@ -26,6 +26,12 @@ they differ only in how arrivals are stamped:
   worker's replay cache through one
   :class:`~repro.serve.fleet.FleetReplayCache`, so one worker's first
   launch warms the whole pool; results are bit-exact with the cache off;
+* **result memo** — each engine owns a bounded LRU of clean request
+  results (:class:`~repro.serve.memo.ResultMemo`), keyed by request
+  content and the worker's recipe swaps: the pool serves a repeated
+  payload from it instead of re-simulating, and re-runs the integrity
+  check on what it serves.  Corrupting fault plans, escalation retries
+  and integrity ``dmr`` bypass it;
 * **aggregation** — per-request :class:`RunReport`s fold into a
   :class:`~repro.eval.serving.ServingReport` with throughput, latency
   percentiles and per-worker replay-cache deltas; the availability and
@@ -60,6 +66,7 @@ from repro.serve.dispatch import (
 from repro.serve.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.serve.fleet import FleetReplayCache
 from repro.serve.golden import expected_output
+from repro.serve.memo import ResultMemo
 from repro.serve.request import InferenceRequest, RequestResult
 from repro.serve.traffic import TrafficSpec, stamp_arrivals
 from repro.serve.worker import SystemWorker
@@ -148,6 +155,11 @@ class ServingEngine:
                 self.admission, schedule_cache=self._tuner.cache,
                 config=self._tuner.config,
             )
+        #: request-level result memo (:mod:`repro.serve.memo`); none under
+        #: ``dmr``, whose point is re-execution
+        self.memo: Optional[ResultMemo] = (
+            ResultMemo() if self.integrity != "dmr" else None
+        )
         fleet = FleetReplayCache() if share_replay else None
         self.workers: List[SystemWorker] = [
             SystemWorker(i, config, fleet=fleet, integrity=self.integrity)
@@ -532,8 +544,10 @@ class ServingEngine:
         plan = FaultPlan.coerce(faults)
         injector = FaultInjector(plan, fault_seed) if plan else None
         replay_before = self._replay_stats()
+        # a corrupting plan's attempts must run: no memo for the call
+        memo = None if injector is not None and injector.corrupts else self.memo
         core = DispatchCore(
-            SerialPool(self.workers), admission=self.admission,
+            SerialPool(self.workers, memo=memo), admission=self.admission,
             injector=injector, retry=retry,
             queue_capacity=queue_capacity, observe=observe,
         )

@@ -260,7 +260,8 @@ class RequestResult:
     fault_class: Optional[str] = None
     #: per-kernel-launch observability records (observe=True only): dicts
     #: with ``kernel_id``/``name``/``cycles``/``replay`` — the replay tag
-    #: is hit/miss/bypassed, or "off" when the fast path is disabled.
+    #: is hit/miss/bypassed, "off" when the fast path is disabled, or
+    #: "memo" when the engine's result memo served the request.
     #: The dispatch core stamps absolute ``start_cycle``/``end_cycle``
     #: once the request's place on the timeline is known.
     launches: List[Dict[str, Any]] = field(default_factory=list, repr=False)

@@ -30,7 +30,12 @@ from repro.compiler import install_compiled, offload_compiled
 from repro.core.api import Matrix
 from repro.core.config import ArcaneConfig
 from repro.core.system import ArcaneSystem, RunReport
-from repro.integrity.check import DigestLedger, check_output, coerce_policy
+from repro.integrity.check import (
+    DigestLedger,
+    check_output,
+    coerce_policy,
+    request_digest,
+)
 from repro.integrity.inject import CorruptionDirective
 from repro.runtime.phases import PhaseBreakdown
 from repro.runtime.replay import ReplayDivergence
@@ -40,6 +45,7 @@ from repro.serve.faults import (
     SilentCorruptionError,
     WorkerCrashError,
 )
+from repro.serve.memo import StoredResult
 from repro.serve.request import InferenceRequest, RequestResult
 from repro.xbridge.bridge import OffloadOutcome
 
@@ -191,7 +197,76 @@ class SystemWorker:
                 })
         self._restore_replay_flags()
         self.system.reset_heap()
-        wall = time.perf_counter() - start
+        if surface.events:
+            # what actually fired on the machine (diagnostics): attached
+            # even under policy "off", where nothing would catch it
+            integrity_info = dict(integrity_info or {})
+            integrity_info["events"] = list(surface.events)
+        return self._result(
+            request, output, reports, attempt, launches, integrity_info,
+            slow_factor, start,
+        )
+
+    def memo_key(self, request: InferenceRequest) -> tuple:
+        """What this worker's result for ``request`` is a pure function of.
+
+        The request's content digest paired with the worker's tuned-recipe
+        swaps, compared by content: a rebuilt worker with the same swaps
+        keys the same, and an autotune swap keys differently.  (The
+        library generation counter is no key: a rebuilt worker's counter
+        can differ while its library is the same.)
+        """
+        return request_digest(request), tuple(sorted(self._recipe_overrides.items()))
+
+    def recall(
+        self,
+        request: InferenceRequest,
+        stored: StoredResult,
+        attempt: int = 1,
+        observe: bool = False,
+        slow_factor: float = 1.0,
+    ) -> RequestResult:
+        """Serve one attempt from a stored clean result, without running.
+
+        The result gets a copy of its output and a new list of its (shared)
+        run reports; the worker's integrity policy re-checks the output
+        as after a run, so the digest ledger and ABFT see every served
+        request.  With ``observe=True`` its launches are copies of the
+        stored run's records, tagged ``replay: "memo"``.
+        """
+        start = time.perf_counter()
+        self.last_recovery = None
+        output, reports = stored.output.copy(), list(stored.reports)
+        integrity_info: Optional[Dict[str, Any]] = None
+        if self.integrity != "off":
+            try:
+                output, reports, integrity_info = self._check_integrity(
+                    request, output, reports
+                )
+            except SilentCorruptionError:
+                self._recover()
+                raise
+        launches = (
+            [dict(launch, replay="memo") for launch in stored.launches]
+            if observe else []
+        )
+        return self._result(
+            request, output, reports, attempt, launches, integrity_info,
+            slow_factor, start,
+        )
+
+    def _result(
+        self,
+        request: InferenceRequest,
+        output: np.ndarray,
+        reports: List[RunReport],
+        attempt: int,
+        launches: List[Dict[str, Any]],
+        integrity_info: Optional[Dict[str, Any]],
+        slow_factor: float,
+        start: float,
+    ) -> RequestResult:
+        """The attempt's result; ``start`` is its host start time."""
         sim_cycles = sum(r.total_cycles for r in reports)
         if slow_factor > 1.0:
             # injected latency spike: stretches the serving timeline only
@@ -200,11 +275,6 @@ class SystemWorker:
         breakdown = PhaseBreakdown()
         for report in reports:
             breakdown.merge(report.breakdown)
-        if surface.events:
-            # what actually fired on the machine (diagnostics): attached
-            # even under policy "off", where nothing would catch it
-            integrity_info = dict(integrity_info or {})
-            integrity_info["events"] = list(surface.events)
         return RequestResult(
             request_id=request.request_id,
             kind=request.kind,
@@ -212,7 +282,7 @@ class SystemWorker:
             output=output,
             sim_cycles=sim_cycles,
             breakdown=breakdown,
-            wall_seconds=wall,
+            wall_seconds=time.perf_counter() - start,
             reports=reports,
             attempts=attempt,
             launches=launches,

@@ -152,22 +152,30 @@ class TestBackendIndices:
 
 class TestFleetReplayCache:
     def test_serial_fleet_hits_are_bit_exact(self):
+        """On bare pools (no engine, so no result memo) every repeat
+        launches, and the shared fleet store serves the replays."""
         requests = repeated_gemm_batch(4)
-        cold_engine = ServingEngine(pool_size=2, config=CFG)
-        shared_engine = ServingEngine(pool_size=2, config=CFG, share_replay=True)
-        cold = cold_engine.serve_online(requests)
-        shared = shared_engine.serve_online(requests)
-        for a, b in zip(cold.results, shared.results):
+        fleet = FleetReplayCache()
+        cold_workers = [SystemWorker(i, CFG) for i in range(2)]
+        shared_workers = [SystemWorker(i, CFG, fleet=fleet) for i in range(2)]
+        cold_core = DispatchCore(SerialPool(cold_workers))
+        shared_core = DispatchCore(SerialPool(shared_workers))
+        cold = cold_core.run(requests)
+        shared = shared_core.run(requests)
+        for a, b in zip(cold, shared):
             assert np.array_equal(a.output, b.output)
             assert a.sim_cycles == b.sim_cycles
             assert (a.worker, a.start_cycle, a.completion_cycle) \
                 == (b.worker, b.start_cycle, b.completion_cycle)
-        assert cold.makespan_cycles == shared.makespan_cycles
+        assert cold_core.makespan_cycles == shared_core.makespan_cycles
         # worker 1 never launched the kernel first, yet replays it from
         # the fleet store seeded by worker 0
-        assert shared.replay is not None and shared.replay["shared"]
-        assert shared.replay["per_worker"]["1"]["fleet_hits"] >= 1
-        assert cold.replay is None or not cold.replay["shared"]
+        caches = [w.system.llc.runtime.replay_cache for w in shared_workers]
+        assert all(cache.fleet is fleet for cache in caches)
+        assert caches[1].stats["fleet_hits"] >= 1
+        assert all(
+            w.system.llc.runtime.replay_cache.fleet is None for w in cold_workers
+        )
 
     def test_evicted_recordings_are_released(self):
         """Past its capacity the fleet keeps no reference to what it

@@ -217,7 +217,7 @@ class TestFaultedRunSpans:
         assert len(service) == 1
         launches = report.spans.children(service[0].span_id)
         assert launches and all(s.category == "launch" for s in launches)
-        assert all(s.attrs["replay"] in ("hit", "miss", "bypassed", "off")
+        assert all(s.attrs["replay"] in ("hit", "miss", "bypassed", "off", "memo")
                    for s in launches)
 
     def test_launch_replay_tags_match_results(self, report):
@@ -232,11 +232,19 @@ class TestFaultedRunSpans:
             ]
 
     def test_replay_hits_appear_after_warmup(self, report):
-        tags = [
-            launch["replay"] for result in report.results
-            for launch in result.launches
-        ]
-        assert "hit" in tags and "miss" in tags
+        """A payload's first run misses the replay cache; after that warm-up
+        its repeats are served from the engine's result memo."""
+        by_id = {result.request_id: result for result in report.results}
+        served = [e.request_id for e in report.dispatch_events if e.kind == "dispatch"]
+        seen = set()
+        tags = []
+        for rid in served:  # execution order
+            payload = rid % 3  # small_requests cycles three payloads
+            launches = {launch["replay"] for launch in by_id[rid].launches}
+            assert launches == {"memo" if payload in seen else "miss"}
+            seen.add(payload)
+            tags.extend(launches)
+        assert "memo" in tags and "miss" in tags
 
     def test_spans_nest_within_parents(self, report):
         for span in report.spans.spans:

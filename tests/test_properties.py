@@ -12,7 +12,10 @@ The heavyweight invariants:
 * phase breakdowns merge associatively;
 * fault-free dispatch binds late under every admission policy: the
   admission queue never holds more than its capacity, no request waits
-  while a worker is idle, and the dispatch log is in cycle order.
+  while a worker is idle, and the dispatch log is in cycle order;
+* memo ≡ run: an engine serving repeats from its result memo reports
+  exactly what a memo-less pool of fresh workers does, results and
+  event log alike.
 """
 
 import numpy as np
@@ -246,3 +249,106 @@ def test_dispatch_binds_late_under_every_policy(
                 if start <= covered:
                     covered = max(covered, completion)
             assert covered >= end, (begin, end, sorted(spans))
+
+
+def _memo_payloads():
+    """gemm, fc and conv-layer payloads of a few shapes: request factories."""
+    from repro.compiler import FUNC5_FC
+    from repro.serve import conv_layer_request, gemm_request, kernel_request
+
+    rng = np.random.default_rng(77)
+
+    def draw(shape, dtype, bound=6):
+        return rng.integers(-bound, bound, shape).astype(dtype)
+
+    factories = []
+    for m, k, n in ((4, 6, 5), (6, 8, 7)):
+        a, b = draw((m, k), np.int16), draw((k, n), np.int16)
+        factories.append(
+            lambda rid, a=a, b=b: gemm_request(rid, a, b, alpha=2, beta=-1)
+        )
+    for size in (8, 12):
+        xv, w = draw((1, size), np.int16), draw((size, size // 2), np.int16)
+        bias = draw((1, size // 2), np.int16)
+        factories.append(lambda rid, xv=xv, w=w, bias=bias: kernel_request(
+            rid, FUNC5_FC, [xv, w, bias], (1, bias.shape[1])
+        ))
+    for size in (6, 8):
+        x, f = draw((3 * size, size), np.int8, 8), draw((9, 3), np.int8, 2)
+        factories.append(lambda rid, x=x, f=f: conv_layer_request(rid, x, f))
+    return factories
+
+
+_MEMO_PAYLOADS = _memo_payloads()
+
+
+def _served(result):
+    """Everything a serving result reports, bar host time and kernel ids."""
+    output = result.output
+    return (
+        result.request_id, result.status, result.worker, result.attempts,
+        result.error, result.fault_class, result.arrival_cycle,
+        result.start_cycle, result.completion_cycle, result.sim_cycles,
+        None if output is None else (output.dtype.str, output.tobytes()),
+        sorted(result.breakdown.cycles.items()), result.integrity,
+        [
+            (r.total_cycles, r.host_cycles, sorted(r.breakdown.cycles.items()),
+             sorted(r.stats.items()), r.outcomes)
+            for r in result.reports
+        ],
+        [
+            (launch["name"], launch["cycles"], launch["start_cycle"],
+             launch["end_cycle"])
+            for launch in result.launches
+        ],
+    )
+
+
+@pytest.mark.dispatch
+@given(
+    picks=st.lists(st.integers(0, len(_MEMO_PAYLOADS) - 1), min_size=2, max_size=8),
+    pool_size=st.integers(1, 2),
+    plan=st.sampled_from([None, "kill:0.3", "transient:0.3", "kill:0.2,transient:0.2"]),
+    fault_seed=st.integers(0, 9),
+    integrity=st.sampled_from(["off", "abft"]),
+    observe=st.booleans(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_memo_serves_what_a_run_would(
+    picks, pool_size, plan, fault_seed, integrity, observe
+):
+    """A batch with repeats served by an engine (result memo on) equals
+    the same batch on a memo-less pool of fresh workers, result for
+    result and event for event."""
+    from repro.core.config import ArcaneConfig
+    from repro.serve import (
+        DispatchCore,
+        FaultInjector,
+        FaultPlan,
+        SerialPool,
+        ServingEngine,
+        SystemWorker,
+    )
+
+    config = ArcaneConfig(n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8,
+                          main_memory_kib=512)
+    requests = [_MEMO_PAYLOADS[pick](rid) for rid, pick in enumerate(picks)]
+    engine = ServingEngine(pool_size=pool_size, config=config, integrity=integrity)
+    report = engine.serve(requests, faults=plan, fault_seed=fault_seed,
+                          observe=observe)
+    core = DispatchCore(
+        SerialPool([
+            SystemWorker(i, config, integrity=integrity) for i in range(pool_size)
+        ]),
+        injector=FaultInjector(FaultPlan.parse(plan), fault_seed) if plan else None,
+        observe=observe,
+    )
+    results = core.run(requests)
+    assert list(map(_served, report.results)) == list(map(_served, results))
+    assert report.dispatch_events == core.events
+    if observe and plan is None:
+        served = sum(
+            all(launch["replay"] == "memo" for launch in result.launches)
+            for result in report.results
+        )
+        assert served == len(picks) - len(set(picks))
