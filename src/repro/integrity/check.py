@@ -181,12 +181,15 @@ def check_output(
     output: np.ndarray,
     policy: str,
     ledger: Optional[DigestLedger] = None,
+    digest: Optional[bytes] = None,
 ) -> IntegrityVerdict:
     """Apply the per-request portion of an integrity policy.
 
     ``dmr``'s shadow execution happens in the worker (it needs the
     machine); here ``dmr`` gets the same ABFT/digest screening as
-    ``abft`` so cheap detection still runs first.
+    ``abft`` so cheap detection still runs first.  ``digest`` is
+    ``request_digest(request)`` when the caller already has it; the
+    ledger fallback hashes the request only when it is None.
     """
     if policy == "off":
         return IntegrityVerdict("clean", output)
@@ -200,7 +203,9 @@ def check_output(
                 )
             return IntegrityVerdict(status, checked, method="abft")
     if ledger is not None:
-        if ledger.observe(request_digest(request), output_digest(output)):
+        if digest is None:
+            digest = request_digest(request)
+        if ledger.observe(digest, output_digest(output)):
             return IntegrityVerdict(
                 "corrupt", None, "output digest diverged from prior run", "digest"
             )

@@ -17,24 +17,37 @@ to charge a phase — every effect they can cause is a context call.
 Run-ahead compute
 -----------------
 
-Vector instructions and element reads execute functionally at once, but
-their cycles do not suspend the event loop: they accumulate in the
-context's :attr:`~KernelContext.lag` and are charged (to the simulated
-clock and to the *compute* phase) at the next synchronisation point —
-``load_rows``, ``load_packed``, ``load_row_set``, ``store_rows`` and
-``wait_prefetch`` yield the lag first, and the scheduler flushes once
-more after the body returns.  Between two synchronisation points a
-body's effects are private to the VPU it claimed (its registers are
-cache lines the controller keeps out of the address-mapped cache), so
-nothing outside the kernel can observe the difference: LLC-lock
-acquisitions, DMA rows and prefetch exposed-wait arithmetic all happen
-at the same simulated cycle as with one suspension per instruction.
+Vector instructions and element reads do not suspend the event loop:
+their cycles accumulate in the context's :attr:`~KernelContext.lag` and
+are charged (to the simulated clock and to the *compute* phase) at the
+next synchronisation point — ``load_rows``, ``load_packed``,
+``load_row_set``, ``store_rows`` and ``wait_prefetch`` yield the lag
+first, and the scheduler flushes once more after the body returns.
+
+The arithmetic is deferred too.  ``vop`` prices an instruction and
+buffers it in a :class:`~repro.vpu.dispatcher.Segment`; every
+synchronisation point executes the buffered segment (one runner call,
+collapsing each same-``vd`` ``vmacc.vs`` chain into a dot product — see
+:mod:`repro.vpu.vpu`) before it yields.  The one forcing rule:
+``read_element`` on a register that a buffered op writes executes the
+segment first, so the eCPU always reads what per-op execution would
+show it.  Bodies see the VRF only through ``read_element`` and
+``max_vl``, and an out-of-range operand raises its ``ValueError`` when
+its segment runs, not when it is issued.
+
+Between two synchronisation points a body's effects are private to the
+VPU it claimed (its registers are cache lines the controller keeps out
+of the address-mapped cache), so nothing outside the kernel can observe
+the difference: LLC-lock acquisitions, DMA rows and prefetch
+exposed-wait arithmetic all happen at the same simulated cycle as with
+one suspension per instruction.
 
 ``claim`` and ``prefetch_row_set`` act on shared state at ``sim.now``
 (a claim writes dirty victims back; a prefetch starts a DMA process)
 without being generators, so they must be called with a flushed clock
 — before any compute since the last synchronisation point — and raise
-otherwise.
+otherwise.  Every buffered op has a non-zero cost, so a flushed clock
+also means an empty segment.
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ from typing import Generator, List, Optional
 from repro.runtime.allocator import MatrixAllocator, RegisterWindow
 from repro.runtime.matrix import MatrixBinding
 from repro.runtime.phases import PhaseBreakdown
-from repro.vpu.dispatcher import Dispatcher
+from repro.vpu.dispatcher import Dispatcher, Segment
 from repro.vpu.visa import ElementType, VectorOp, VectorOpcode
 
 
@@ -54,7 +67,8 @@ class KernelContext:
     Compute runs ahead of the simulated clock: each vector instruction
     or element read adds its cycles to :attr:`lag`, and the lag is
     charged at the next synchronisation point (a DMA call,
-    ``wait_prefetch``, or the scheduler's :meth:`flush` after the body).
+    ``wait_prefetch``, or the scheduler's :meth:`flush` after the body),
+    which first executes the buffered vector instructions.
     ``claim`` and ``prefetch_row_set`` require a flushed clock.
     """
 
@@ -76,18 +90,17 @@ class KernelContext:
         self.dispatcher = dispatcher
         self.phases = phases
         self._windows: List[RegisterWindow] = []
-        #: compute cycles executed but not yet charged to the clock
+        #: compute cycles issued but not yet charged to the clock
         self.lag = 0
+        self._vrf = dispatcher.vpu(vpu_index).vrf
+        #: vector ops issued since the last synchronisation point
+        self._segment: Segment = dispatcher.segment(vpu_index)
 
     # -- register windows ---------------------------------------------------
 
     @property
-    def vpu(self):
-        return self.dispatcher.vpu(self.vpu_index)
-
-    @property
     def max_vl(self) -> int:
-        return self.vpu.vrf.max_vl(self.etype)
+        return self._vrf.max_vl(self.etype)
 
     def free_regs(self) -> int:
         return self.allocator.free_regs(self.vpu_index)
@@ -108,12 +121,20 @@ class KernelContext:
     # -- synchronisation ------------------------------------------------------
 
     def flush(self) -> Generator:
-        """Charge the compute run ahead since the last synchronisation point."""
+        """Execute the buffered vector ops, then charge the compute run
+        ahead since the last synchronisation point."""
+        if self._segment.ops:
+            self._run_segment()
         lag = self.lag
         if lag:
             self.lag = 0
             self.phases.add("compute", lag)
             yield lag
+
+    def _run_segment(self) -> None:
+        segment = self._segment
+        self._segment = self.dispatcher.segment(self.vpu_index)
+        self.dispatcher.run_segment(self.vpu_index, segment)
 
     def _require_flushed(self, call: str) -> None:
         if self.lag:
@@ -218,32 +239,25 @@ class KernelContext:
         """Dispatch one vector instruction; returns its pipelined cost.
 
         A generator (bodies ``yield from`` it) that never suspends: the
-        cost runs ahead in :attr:`lag` until the next synchronisation point.
+        instruction is buffered, and its cost runs ahead in :attr:`lag`,
+        until the next synchronisation point.
         """
-        op = VectorOp(
-            opcode=opcode,
-            etype=etype or self.etype,
-            vd=vd,
-            vs1=vs1,
-            vs2=vs2,
-            vl=vl,
-            scalar=scalar,
-            offset=offset,
-            stride=stride,
-            vd_offset=vd_offset,
-        )
-        return self._issue(op)
-
-    def _issue(self, op: VectorOp) -> Generator:
-        """Issue one built :class:`VectorOp` (replay-recording hook point)."""
-        cost = self.dispatcher.dispatch(self.vpu_index, op)
+        cost = self._segment.add(VectorOp(
+            opcode, etype or self.etype, vd, vs1, vs2, vl, scalar, offset,
+            stride, vd_offset,
+        ))
         self.lag += cost
         return cost
         yield  # a generator that never suspends
 
     def read_element(self, vreg: int, index: int, etype: Optional[ElementType] = None) -> Generator:
-        """eCPU reads one element from a vector register (returns its value)."""
-        value = int(self.vpu.vrf.view(vreg, etype or self.etype)[index])
+        """eCPU reads one element from a vector register (returns its value).
+
+        Executes the buffered ops first when one of them writes ``vreg``.
+        """
+        if vreg in self._segment.written:
+            self._run_segment()
+        value = int(self._vrf.view(vreg, etype or self.etype)[index])
         self.lag += self.SCALAR_READ_CYCLES
         return value
         yield  # a generator that never suspends

@@ -95,6 +95,7 @@ such traffic exists there.  Debugging a workload that does mix them:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from typing import Dict, Generator, List, Optional, Tuple
@@ -102,8 +103,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.runtime.context import KernelContext
 from repro.runtime.matrix import MatrixBinding
 from repro.runtime.queue import QueuedKernel
-from repro.vpu.visa import VectorOp
-from repro.vpu.vpu import bind_vop
 
 #: Step opcodes of the recorded effect stream.
 STEP_CLAIM, STEP_LOAD, STEP_STORE, STEP_VOP, STEP_READ, STEP_PREFETCH, STEP_WAIT = (
@@ -339,10 +338,10 @@ class RecordingContext(KernelContext):
                 self._rec.note_phase("writeback", cycles)
         return cycles
 
-    def _issue(self, op: VectorOp) -> Generator:
-        cost = yield from super()._issue(op)
+    def vop(self, *args, **kwargs) -> Generator:
+        cost = yield from super().vop(*args, **kwargs)
         if self._rec.replayable:
-            self._rec.steps.append((STEP_VOP, op))
+            self._rec.steps.append((STEP_VOP, self._segment.ops[-1]))
             self._rec.note_phase("compute", cost)
         return cost
 
@@ -374,53 +373,49 @@ _SEG_OPS = -1
 
 
 def _compile_steps(recording: Recording, kernel: QueuedKernel, scheduler, vpu_index: int) -> list:
-    """Fuse runs of compute steps into pre-bound closure segments.
+    """Fuse runs of compute steps into compiled compute segments.
 
-    Cycle costs and counter increments of VOP/READ runs are static (they
+    Cycle costs and counter sums of VOP/READ runs are static (they
     depend only on the op fields and the VPU geometry), so each run
-    collapses to one segment ``(_SEG_OPS, closures, t_cycles, n_ops,
-    vpu_cycles, elems, issue_bound, dispatch_cycles)`` applied in O(ops)
-    numpy calls and O(1) counter updates.  DMA/claim steps pass through
-    untouched — their costs depend on live cache state.
+    collapses to one step ``(_SEG_OPS, parts, t_cycles)``.  Its parts are
+    called in order: dispatcher :class:`~repro.vpu.dispatcher.Segment`
+    runs — the same runner, chain collapse and bulk counters as a live
+    context — and read checks.  A read splits the ops into two runs only
+    when one of them writes its register, the live forcing rule.
+    DMA/claim steps pass through untouched — their costs depend on live
+    cache state.
     """
-    vpu = scheduler.dispatcher.vpus[vpu_index]
-    vrf = vpu.vrf
-    issue_cycles = scheduler.dispatcher.issue_cycles
+    dispatcher = scheduler.dispatcher
+    vrf = dispatcher.vpus[vpu_index].vrf
     scalar_read = KernelContext.SCALAR_READ_CYCLES
     name = kernel.name
     segments: list = []
-    closures: list = []
-    t_cycles = n_ops = vpu_cycles = elems = issue_bound = dispatch_cycles = 0
+    parts: list = []
+    run = dispatcher.segment(vpu_index)
+    t_cycles = 0
+
+    def close_run() -> None:
+        nonlocal run
+        if run.ops:
+            parts.append(functools.partial(dispatcher.run_segment, vpu_index, run))
+            run = dispatcher.segment(vpu_index)
 
     def flush() -> None:
-        nonlocal closures, t_cycles, n_ops, vpu_cycles, elems, issue_bound
-        nonlocal dispatch_cycles
-        if t_cycles or closures:
-            segments.append(
-                (_SEG_OPS, tuple(closures), t_cycles, n_ops, vpu_cycles, elems,
-                 issue_bound, dispatch_cycles)
-            )
-        closures = []
-        t_cycles = n_ops = vpu_cycles = elems = issue_bound = dispatch_cycles = 0
+        nonlocal parts, t_cycles
+        close_run()
+        if parts:
+            segments.append((_SEG_OPS, tuple(parts), t_cycles))
+        parts = []
+        t_cycles = 0
 
     for step in recording.steps:
         kind = step[0]
         if kind == STEP_VOP:
-            op = step[1]
-            fn = bind_vop(op, vrf)
-            if fn is not None:
-                closures.append(fn)
-            op_cycles = vpu.op_cycles(op)
-            cost = op_cycles if op_cycles > issue_cycles else issue_cycles
-            t_cycles += cost
-            dispatch_cycles += cost
-            n_ops += 1
-            vpu_cycles += op_cycles
-            elems += op.vl
-            if issue_cycles >= op_cycles:
-                issue_bound += 1
+            t_cycles += run.add(step[1])
         elif kind == STEP_READ:
             _, vreg, index, etype, expected = step
+            if vreg in run.written:
+                close_run()
             read_view = vrf.view(vreg, etype)
 
             def check(read_view=read_view, vreg=vreg, index=index,
@@ -430,7 +425,7 @@ def _compile_steps(recording: Recording, kernel: QueuedKernel, scheduler, vpu_in
                         f"kernel {name!r} replay read v{vreg}[{index}] != "
                         "recorded value; replay-cache key invariant broken"
                     )
-            closures.append(check)
+            parts.append(check)
             t_cycles += scalar_read
         else:
             flush()
@@ -456,7 +451,6 @@ def replay_kernel(
     """
     allocator = scheduler.allocator
     controller = scheduler.controller
-    dispatcher = scheduler.dispatcher
     vpu_index = context.vpu_index
     vrf = allocator.vpus[vpu_index].vrf
     lock_overhead = allocator.lock_overhead_cycles
@@ -494,20 +488,11 @@ def replay_kernel(
     for step in compiled:
         kind = step[0]
         if kind == _SEG_OPS:
-            (_, closures, t_cycles, n_ops, vpu_cycles, elems, issue_bound,
-             disp_cycles) = step
-            for fn in closures:
-                fn()
+            _, parts, t_cycles = step
+            for part in parts:
+                part()
             t += t_cycles
             compute += t_cycles
-            if n_ops:
-                vpu = dispatcher.vpus[vpu_index]
-                vpu._c_ops.value += n_ops
-                vpu._c_cycles.value += vpu_cycles
-                vpu._c_elems.value += elems
-                dispatcher._c_ops.value += n_ops
-                dispatcher._c_cycles.value += disp_cycles
-                dispatcher._c_issue_bound.value += issue_bound
         elif kind == STEP_LOAD:
             items = step[1]
             start = t if t >= lock_free else lock_free

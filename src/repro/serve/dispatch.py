@@ -305,16 +305,18 @@ class SerialPool:
                 directives=directives, bypass_fastpath=bypass_fastpath,
             )
         key = runner.memo_key(request)
+        digest = key[0]  # a memo key leads with the request digest
         stored = memo.lookup(key)
         if stored is not None:
             return runner.recall(
                 request, stored, attempt=attempt, observe=observe,
-                slow_factor=slow_factor,
+                slow_factor=slow_factor, digest=digest,
             )
         # collect the launch records either way: a later observed hit
         # serves copies of them
         result = runner.run(
-            request, attempt=attempt, observe=True, slow_factor=slow_factor
+            request, attempt=attempt, observe=True, slow_factor=slow_factor,
+            digest=digest,
         )
         memo.remember(key, result)
         if not observe:

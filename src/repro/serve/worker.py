@@ -92,6 +92,7 @@ class SystemWorker:
         slow_factor: float = 1.0,
         directives: Sequence[CorruptionDirective] = (),
         bypass_fastpath: bool = False,
+        digest: Optional[bytes] = None,
     ) -> RequestResult:
         """Execute one attempt on the long-lived system and reset it.
 
@@ -109,7 +110,9 @@ class SystemWorker:
         core already drew; ``directives`` are the core's corruption draws
         for this attempt; ``bypass_fastpath`` suspends the replay fast
         path for the attempt (corruption-escalation retries distrust
-        cached recordings).
+        cached recordings).  ``digest`` is the request's
+        :func:`~repro.integrity.check.request_digest` when the caller
+        already computed it (the memo key); the integrity check reuses it.
         """
         start = time.perf_counter()
         self.last_recovery = None
@@ -172,7 +175,7 @@ class SystemWorker:
         if self.integrity != "off":
             try:
                 output, reports, integrity_info = self._check_integrity(
-                    request, output, reports
+                    request, output, reports, digest
                 )
             except SilentCorruptionError:
                 self._retract_touched()
@@ -225,6 +228,7 @@ class SystemWorker:
         attempt: int = 1,
         observe: bool = False,
         slow_factor: float = 1.0,
+        digest: Optional[bytes] = None,
     ) -> RequestResult:
         """Serve one attempt from a stored clean result, without running.
 
@@ -232,7 +236,8 @@ class SystemWorker:
         run reports; the worker's integrity policy re-checks the output
         as after a run, so the digest ledger and ABFT see every served
         request.  With ``observe=True`` its launches are copies of the
-        stored run's records, tagged ``replay: "memo"``.
+        stored run's records, tagged ``replay: "memo"``.  ``digest`` is
+        as for :meth:`run`.
         """
         start = time.perf_counter()
         self.last_recovery = None
@@ -241,7 +246,7 @@ class SystemWorker:
         if self.integrity != "off":
             try:
                 output, reports, integrity_info = self._check_integrity(
-                    request, output, reports
+                    request, output, reports, digest
                 )
             except SilentCorruptionError:
                 self._recover()
@@ -342,7 +347,8 @@ class SystemWorker:
             cache.fleet = self.fleet
 
     def _check_integrity(
-        self, request: InferenceRequest, output: np.ndarray, reports: List[RunReport]
+        self, request: InferenceRequest, output: np.ndarray, reports: List[RunReport],
+        digest: Optional[bytes] = None,
     ) -> Tuple[np.ndarray, List[RunReport], Dict[str, Any]]:
         """Apply this worker's integrity policy to a finished attempt.
 
@@ -352,7 +358,7 @@ class SystemWorker:
         cycles) and a JSON-clean info dict for the result.
         """
         info: Dict[str, Any] = {"policy": self.integrity}
-        verdict = check_output(request, output, self.integrity, self.ledger)
+        verdict = check_output(request, output, self.integrity, self.ledger, digest)
         if verdict.status == "corrupt":
             raise SilentCorruptionError(
                 f"request {request.request_id}: {verdict.detail} "

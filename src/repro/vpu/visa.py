@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,9 +133,24 @@ for _opcode, _traits in OP_TRAITS.items():
 del _opcode, _traits
 
 
-@dataclass(frozen=True)
-class VectorOp:
+class _VectorOpFields(NamedTuple):
+    opcode: VectorOpcode
+    etype: ElementType
+    vd: int
+    vs1: int = 0
+    vs2: int = 0
+    vl: int = 0
+    scalar: int = 0
+    offset: int = 0
+    stride: int = 1
+    vd_offset: int = 0
+
+
+class VectorOp(_VectorOpFields):
     """One vector instruction as dispatched by the eCPU to a VPU.
+
+    An immutable tuple, cheap to build: kernels build one per issued
+    instruction.  Construction validates ``vl`` and ``stride``.
 
     Attributes:
         opcode: operation selector.
@@ -151,19 +167,17 @@ class VectorOp:
         vd_offset: starting element offset applied to vd.
     """
 
-    opcode: VectorOpcode
-    etype: ElementType
-    vd: int
-    vs1: int = 0
-    vs2: int = 0
-    vl: int = 0
-    scalar: int = 0
-    offset: int = 0
-    stride: int = 1
-    vd_offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.vl < 0:
+    def __new__(
+        cls, opcode: VectorOpcode, etype: ElementType, vd: int, vs1: int = 0,
+        vs2: int = 0, vl: int = 0, scalar: int = 0, offset: int = 0,
+        stride: int = 1, vd_offset: int = 0,
+    ) -> "VectorOp":
+        if vl < 0:
             raise ValueError("vector length must be non-negative")
-        if self.stride < 1:
+        if stride < 1:
             raise ValueError("stride must be >= 1")
+        return tuple.__new__(
+            cls, (opcode, etype, vd, vs1, vs2, vl, scalar, offset, stride, vd_offset)
+        )

@@ -14,13 +14,29 @@ Timing model (from the NM-Carus microarchitecture the paper builds on):
 Functional semantics use wrap-around two's-complement arithmetic in the
 element width, matching the RTL datapath; :func:`bind_vop` is their one
 definition.
+
+Kernels do not execute instructions one at a time: a kernel context
+buffers what it issues between two synchronisation points and hands the
+run to :func:`run_ops` (through :meth:`Vpu.run_segment`).  The runner
+keeps the algorithm and changes only its execution granularity, as Exo
+separates a schedule from its algorithm.  A maximal run of ``vmacc.vs``
+sharing ``vd``, ``vl``, ``etype``, ``stride`` and ``vd_offset`` is one
+blocked dot product, PULP-NN style: one gather of every term's source
+elements through the VRF's flat view, one integer dot product with the
+scalars, one add into the destination.  Every other instruction — and a
+chain the collapse cannot take (one term, a term reading ``vd``, an
+operand out of range) — runs through its :func:`bind_vop` closure, so
+the arithmetic keeps a single definition and an out-of-range operand
+raises exactly where per-op execution would.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Optional
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,9 +63,9 @@ class Vpu:
         self.vrf = vrf
         self.lanes = lanes
         self.stats = stats or StatsRegistry()
-        # Counter handles are resolved once here: the execute loop runs per
-        # vector instruction and must not build f-string names or walk the
-        # registry dict on every op.
+        # Counter handles are resolved once here: segments run many times
+        # per kernel and must not build f-string names or walk the
+        # registry dict on every run.
         self._c_ops = self.stats.counter(f"vpu{index}.ops")
         self._c_cycles = self.stats.counter(f"vpu{index}.cycles")
         self._c_elems = self.stats.counter(f"vpu{index}.elems")
@@ -62,10 +78,11 @@ class Vpu:
     def op_cycles(self, op: VectorOp) -> int:
         """Cycle cost of executing ``op`` on this VPU.
 
-        The single source of the timing formula — ``execute`` and the
-        replay compiler both charge through here, so the fast and slow
-        paths cannot drift apart.  Traits come from the precomputed
-        enum-member attributes (no per-op dict hashing).
+        The single source of the timing formula — every issued op is
+        priced here (:meth:`~repro.vpu.dispatcher.Segment.add`), live or
+        replayed, so the fast and slow paths cannot drift apart.  Traits
+        come from the precomputed enum-member attributes (no per-op dict
+        hashing).
         """
         opcode = op.opcode
         vl = op.vl
@@ -85,14 +102,17 @@ class Vpu:
     def execute(self, op: VectorOp) -> int:
         """Execute ``op`` functionally; return its cycle cost."""
         cycles = self.op_cycles(op)
-        # hot path: counters are monotonic by construction, bump directly
-        self._c_ops.value += 1
-        self._c_cycles.value += cycles
-        self._c_elems.value += op.vl
-        effect = bind_vop(op, self.vrf)
-        if effect is not None:
-            effect()
+        self.run_segment((op,), cycles, op.vl)
         return cycles
+
+    def run_segment(self, ops: Sequence[VectorOp], cycles: int, elems: int) -> None:
+        """Execute ``ops`` in issue order, their summed ``op_cycles`` and
+        ``vl`` being ``cycles`` and ``elems``."""
+        # counters are monotonic by construction: bump directly
+        self._c_ops.value += len(ops)
+        self._c_cycles.value += cycles
+        self._c_elems.value += elems
+        run_ops(ops, self.vrf)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -105,9 +125,9 @@ def _ring_scalar(scalar: int, dtype: type):
 def bind_vop(op: VectorOp, vrf: VectorRegisterFile) -> Optional[Callable[[], None]]:
     """Bind one vector instruction's functional effect to a closure.
 
-    The single definition of the VPU arithmetic: :meth:`Vpu.execute`
-    binds and calls at once, the replay compiler binds once per recorded
-    op and calls on every replay, so the two paths cannot drift apart.
+    The single definition of the VPU arithmetic: :func:`run_ops` binds
+    and calls every op outside a collapsed ``vmacc.vs`` chain, and a
+    chain's gather-dot is the same ring arithmetic summed at once.
     Register views, slices, traits and scalar casts are resolved here;
     the closure does only the numpy work, and reads its sources when
     called.  Returns None for ``vl == 0`` (timing-only) instructions.
@@ -205,3 +225,77 @@ def bind_vop(op: VectorOp, vrf: VectorRegisterFile) -> Optional[Callable[[], Non
             dst_view[vd_offset] = src.astype(np.int64).sum().astype(dtype)
         return redsum
     raise NotImplementedError(opcode)  # pragma: no cover - enum is closed
+
+
+#: what a ``vmacc.vs`` chain shares: opcode, etype, vd, vl, stride, vd_offset
+_CHAIN_KEY = itemgetter(0, 1, 2, 5, 8, 9)
+#: what its terms do not: vs1, scalar, offset
+_VS1, _SCALAR, _OFFSET = itemgetter(3), itemgetter(6), itemgetter(7)
+
+
+@functools.lru_cache(maxsize=256)
+def _lane_steps(vl: int, stride: int) -> np.ndarray:
+    """Element offsets ``i * stride`` of one gathered source, ``i < vl``."""
+    return np.arange(0, vl * stride, stride, dtype=np.intp)
+
+
+def run_ops(ops: Sequence[VectorOp], vrf: VectorRegisterFile) -> None:
+    """Execute ``ops`` in issue order; each same-``vd`` ``vmacc.vs`` chain
+    runs as one gather-dot (see the module docstring)."""
+    for key, group in groupby(ops, _CHAIN_KEY):
+        if key[0] is VectorOpcode.VMACC_VS:
+            group = list(group)
+            if len(group) > 1 and _macc_chain(group, key, vrf):
+                continue
+        for op in group:
+            effect = bind_vop(op, vrf)
+            if effect is not None:
+                effect()
+
+
+def _macc_chain(chain: list, key: tuple, vrf: VectorRegisterFile) -> bool:
+    """``vd += sum_k scalar_k * vs1_k[offset_k + i*stride]`` in one dot.
+
+    Returns False, touching nothing, when the chain must run op by op: a
+    term reads ``vd`` (it would see the partial sums), or some operand or
+    scalar is out of range (the per-op path then raises ``bind_vop``'s
+    own error at the first bad term, after applying the terms before it
+    — a fancy index past the register end would silently read the next
+    register).
+
+    Sums run in ``uint64``, whose overflow is defined modulo ``2**64``;
+    truncating to the element width is a ring homomorphism, so the wrapped
+    total equals per-op accumulation in the element dtype even where two
+    int32 products already overflow int64.
+    """
+    _, etype, vd, vl, stride, vd_offset = key
+    vs1s = list(map(_VS1, chain))
+    offsets = list(map(_OFFSET, chain))
+    n_regs = vrf.n_regs
+    max_vl = vrf.max_vl(etype)
+    if (
+        vl == 0
+        or vd in vs1s
+        or not 0 <= vd < n_regs
+        or vd_offset < 0
+        or vd_offset + vl > max_vl
+        or min(vs1s) < 0
+        or max(vs1s) >= n_regs
+        or min(offsets) < 0
+        or max(offsets) + stride * (vl - 1) >= max_vl
+    ):
+        return False
+    dtype = etype.np_dtype
+    scalars = list(map(_SCALAR, chain))
+    try:
+        # wrapped into the element dtype first, as _ring_scalar wraps them
+        coefficients = np.array(scalars, dtype=np.int64).astype(dtype).astype(np.uint64)
+    except OverflowError:  # a scalar past int64: let _ring_scalar raise it
+        return False
+    flat = vrf.flat(etype)
+    starts = np.array(vs1s, dtype=np.intp) * max_vl + np.array(offsets, dtype=np.intp)
+    terms = flat[starts[:, None] + _lane_steps(vl, stride)].astype(np.uint64)
+    base = vd * max_vl + vd_offset
+    dst = flat[base : base + vl]
+    np.add(dst, (coefficients @ terms).astype(dtype), out=dst)
+    return True

@@ -34,6 +34,22 @@ class VectorRegisterFile:
             etype.nbytes: [line.data.view(etype.np_dtype) for line in lines]
             for etype in ElementType
         }
+        # The lines are consecutive slices of the LLC storage, so the whole
+        # file is also one flat buffer: register r, element i of a typed
+        # view sits at flat index r * max_vl + i.  The segment runner
+        # gathers a chain's source elements through it in one index.
+        def owner(data: np.ndarray) -> np.ndarray:
+            return data if data.base is None else data.base
+
+        storage = owner(lines[0].data)
+        start = lines[0].data.ctypes.data
+        for position, line in enumerate(lines):
+            if owner(line.data) is not storage or \
+                    line.data.ctypes.data != start + position * self.line_bytes:
+                raise ValueError("a VRF's lines must be consecutive slices of one buffer")
+        offset = start - storage.ctypes.data
+        flat = storage[offset : offset + len(lines) * self.line_bytes]
+        self._flat = {etype.nbytes: flat.view(etype.np_dtype) for etype in ElementType}
         # Fault-injection hook (see repro.integrity.inject): when armed it
         # may return a corrupted copy of the values written.  None when no
         # fault plan is armed, so the hot path pays one attribute check.
@@ -57,6 +73,10 @@ class VectorRegisterFile:
             raise IndexError(
                 f"vector register {index} out of range 0..{self.n_regs - 1}"
             ) from None
+
+    def flat(self, etype: ElementType) -> np.ndarray:
+        """A mutable typed view of every register, one after the other."""
+        return self._flat[etype.nbytes]
 
     def read(self, index: int, etype: ElementType, vl: int) -> np.ndarray:
         """A copy of the first ``vl`` elements of register ``index``."""

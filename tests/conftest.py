@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cache.address_table import AddressTable
 from repro.cache.cache_table import CacheTable
@@ -15,6 +16,11 @@ from repro.mem.memory import MainMemory
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import Tracer
+
+
+#: ``--hypothesis-profile=deep``: the example budget of properties that
+#: take theirs from the profile (the default profile gives them 100)
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 def pytest_configure(config):

@@ -143,6 +143,34 @@ class TestHits:
             assert result.reports[0].total_cycles == cold.reports[0].total_cycles
 
 
+    def test_one_request_digest_per_served_attempt(self, monkeypatch):
+        """The memo key's digest feeds the ledger check: a conv request
+        (no ABFT cover) is hashed once per attempt, hit or miss."""
+        import repro.integrity.check as check_module
+        import repro.serve.worker as worker_module
+
+        calls = []
+        real = check_module.request_digest
+
+        def counted(request):
+            calls.append(request.request_id)
+            return real(request)
+
+        monkeypatch.setattr(check_module, "request_digest", counted)
+        monkeypatch.setattr(worker_module, "request_digest", counted)
+        engine = ServingEngine(pool_size=2, config=CFG, integrity="abft")
+        factory = payloads()[1]
+        requests = [factory(rid) for rid in range(4)]
+        report = engine.serve(requests)
+        assert all(r.completed for r in report.results)
+        # every attempt reached the ledger fallback
+        assert sum(
+            w.ledger.stats["recorded"] + w.ledger.stats["confirmed"]
+            for w in engine.workers
+        ) == len(requests)
+        assert sorted(calls) == [r.request_id for r in report.results]
+
+
 class TestBypass:
     def test_corrupting_plan_neither_reads_nor_writes(self):
         engine = ServingEngine(pool_size=2, config=CFG, integrity="abft")

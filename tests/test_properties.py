@@ -15,18 +15,29 @@ The heavyweight invariants:
   while a worker is idle, and the dispatch log is in cycle order;
 * memo ≡ run: an engine serving repeats from its result memo reports
   exactly what a memo-less pool of fresh workers does, results and
-  event log alike.
+  event log alike;
+* segment ≡ per-op: vector ops a kernel context buffers and runs at the
+  next synchronisation point (same-``vd`` ``vmacc.vs`` chains as one
+  gather-dot) leave the same register bytes, read values, cycle costs
+  and counters as executing each op when it is issued.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cache.cache_table import CacheTable
 from repro.cpu.core import Cpu
 from repro.isa.asm import assemble
 from repro.mem.memory import MainMemory
+from repro.runtime.context import KernelContext
 from repro.runtime.phases import PHASES, PhaseBreakdown
+from repro.sim.stats import StatsRegistry
 from repro.utils.bitops import to_signed
+from repro.vpu.dispatcher import Dispatcher
+from repro.vpu.visa import ElementType, VectorOp, VectorOpcode
+from repro.vpu.vpu import Vpu
+from repro.vpu.vrf import VectorRegisterFile
 
 from tests.conftest import CacheHarness
 
@@ -352,3 +363,137 @@ def test_memo_serves_what_a_run_would(
             for result in report.results
         )
         assert served == len(picks) - len(set(picks))
+
+
+# -- segment ≡ per-op -------------------------------------------------------
+
+SEG_VREGS, SEG_LINE_BYTES = 6, 64
+
+
+@st.composite
+def source_window(draw, max_vl, vl):
+    """(stride, offset) whose gather stays inside one register."""
+    if vl == 0:
+        return draw(st.integers(1, 3)), draw(st.integers(0, max_vl - 1))
+    stride = draw(st.integers(1, max(1, min(4, (max_vl - 1) // max(1, vl - 1)))))
+    return stride, draw(st.integers(0, max_vl - 1 - stride * (vl - 1)))
+
+
+def vop_scalar(draw, opcode, etype):
+    info = np.iinfo(etype.np_dtype)
+    if opcode in (VectorOpcode.VMAX_VS, VectorOpcode.VMIN_VS):
+        return draw(st.integers(int(info.min), int(info.max)))
+    if opcode is VectorOpcode.VSRA_VS:
+        return draw(st.integers(0, info.bits - 1))
+    return draw(st.one_of(
+        st.sampled_from([0, 1, -1, int(info.min), int(info.max), -(2**31), 2**31 - 1]),
+        st.integers(-(2**40), 2**40),
+    ))
+
+
+@st.composite
+def single_vops(draw):
+    opcode = draw(st.sampled_from(list(VectorOpcode)))
+    etype = draw(st.sampled_from(list(ElementType)))
+    max_vl = SEG_LINE_BYTES // etype.nbytes
+    vl = draw(st.integers(0, max_vl))
+    stride, offset = draw(source_window(max_vl, vl))
+    return VectorOp(
+        opcode, etype, vd=draw(st.integers(0, SEG_VREGS - 1)),
+        vs1=draw(st.integers(0, SEG_VREGS - 1)), vs2=draw(st.integers(0, SEG_VREGS - 1)),
+        vl=vl, scalar=vop_scalar(draw, opcode, etype), offset=offset, stride=stride,
+        vd_offset=draw(st.integers(0, max_vl - vl)),
+    )
+
+
+@st.composite
+def macc_chains(draw):
+    """2-6 ``vmacc.vs`` sharing vd, vl, etype, stride and vd_offset; a
+    term may read vd."""
+    etype = draw(st.sampled_from(list(ElementType)))
+    max_vl = SEG_LINE_BYTES // etype.nbytes
+    vl = draw(st.integers(1, max_vl))
+    stride, _ = draw(source_window(max_vl, vl))
+    vd = draw(st.integers(0, SEG_VREGS - 1))
+    vd_offset = draw(st.integers(0, max_vl - vl))
+    return [
+        VectorOp(
+            VectorOpcode.VMACC_VS, etype, vd=vd, vs1=draw(st.integers(0, SEG_VREGS - 1)),
+            vl=vl, scalar=vop_scalar(draw, VectorOpcode.VMACC_VS, etype),
+            offset=draw(st.integers(0, max_vl - 1 - stride * (vl - 1))),
+            stride=stride, vd_offset=vd_offset,
+        )
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+
+
+@st.composite
+def element_reads(draw):
+    etype = draw(st.sampled_from(list(ElementType)))
+    return ("read", draw(st.integers(0, SEG_VREGS - 1)),
+            draw(st.integers(0, SEG_LINE_BYTES // etype.nbytes - 1)), etype)
+
+
+@st.composite
+def segment_programs(draw):
+    steps = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["op", "chain", "read", "sync"]))
+        if kind == "op":
+            steps.append(("op", draw(single_vops())))
+        elif kind == "chain":
+            steps.extend(("op", op) for op in draw(macc_chains()))
+        elif kind == "read":
+            steps.append(draw(element_reads()))
+        else:
+            steps.append(("sync",))
+    return steps
+
+
+@given(segment_programs(), st.integers(0, 2**32 - 1))
+@settings(deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+def test_segment_runs_what_per_op_execution_would(steps, seed):
+    """A kernel context's deferred segments ≡ ``Dispatcher.dispatch`` per op."""
+    fill = np.random.default_rng(seed).integers(
+        0, 256, SEG_VREGS * SEG_LINE_BYTES, dtype=np.uint8
+    )
+    dispatchers = []
+    for _ in range(2):
+        table = CacheTable(1, SEG_VREGS, SEG_LINE_BYTES)
+        table.storage[:] = fill
+        stats = StatsRegistry()
+        vpu = Vpu(0, VectorRegisterFile(table.vpu_lines(0)), lanes=4, stats=stats)
+        dispatchers.append(Dispatcher([vpu], issue_cycles=3, stats=stats))
+    deferred, per_op = dispatchers
+    kc = KernelContext(0, ElementType.W, None, deferred, PhaseBreakdown())
+    per_op_vrf = per_op.vpu(0).vrf
+
+    def run_now(generator):
+        try:
+            next(generator)
+        except StopIteration as done:
+            return done.value
+        raise AssertionError("vop/read_element suspended")
+
+    seen, expected = [], []
+    for step in steps:
+        if step[0] == "op":
+            op = step[1]
+            seen.append(run_now(kc.vop(
+                op.opcode, op.vd, op.vs1, op.vs2, op.vl, op.scalar, op.offset,
+                op.stride, op.vd_offset, op.etype,
+            )))
+            expected.append(per_op.dispatch(0, op))
+        elif step[0] == "read":
+            _, vreg, index, etype = step
+            seen.append(run_now(kc.read_element(vreg, index, etype)))
+            expected.append(int(per_op_vrf.view(vreg, etype)[index]))
+        else:
+            for _ in kc.flush():
+                pass
+    for _ in kc.flush():
+        pass
+    assert seen == expected
+    assert deferred.vpu(0).vrf.lines[0].data.base.tobytes() \
+        == per_op_vrf.lines[0].data.base.tobytes()
+    assert deferred.stats.counters() == per_op.stats.counters()

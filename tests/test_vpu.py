@@ -58,6 +58,22 @@ class TestVrf:
         with pytest.raises(IndexError):
             vpu.vrf.view(4, ElementType.B)
 
+    def test_flat_view_aliases_every_register(self):
+        # VPU 1's slice starts mid-storage: flat index r * max_vl + i
+        ct = CacheTable(2, 4, 64)
+        vrf = VectorRegisterFile(ct.vpu_lines(1))
+        flat = vrf.flat(ElementType.H)
+        flat[32 * 2 + 5] = -7
+        assert vrf.view(2, ElementType.H)[5] == -7
+        assert len(flat) == 4 * 32
+
+    def test_lines_from_separate_buffers_are_rejected(self):
+        from repro.cache.line import CacheLine
+
+        lines = [CacheLine(i, np.zeros(64, dtype=np.uint8)) for i in range(2)]
+        with pytest.raises(ValueError, match="consecutive slices"):
+            VectorRegisterFile(lines)
+
 
 class TestSemantics:
     def test_vclear(self):
@@ -312,3 +328,144 @@ class TestStridedGatherView:
         assert np.array_equal(
             vpu.vrf.view(1, ElementType.W)[:6], acc + 7 * src[2 : 2 + 3 * 6 : 3]
         )
+
+
+def twin_dispatchers(vregs=6, line_bytes=64, issue=3, seed=0):
+    """Two dispatchers over VRFs holding the same random bytes."""
+    rng = np.random.default_rng(seed)
+    fill = rng.integers(0, 256, vregs * line_bytes, dtype=np.uint8)
+    twins = []
+    for _ in range(2):
+        ct = CacheTable(1, vregs, line_bytes)
+        ct.storage[:] = fill
+        vpu = Vpu(0, VectorRegisterFile(ct.vpu_lines(0)), lanes=4, stats=StatsRegistry())
+        twins.append(Dispatcher([vpu], issue_cycles=issue, stats=vpu.stats))
+    return twins
+
+
+def run_both(ops, **kwargs):
+    """``ops`` as one segment on one twin, op by op on the other."""
+    segmented, per_op = twin_dispatchers(**kwargs)
+    segment = segmented.segment(0)
+    costs = [segment.add(op) for op in ops]
+    segmented.run_segment(0, segment)
+    assert costs == [per_op.dispatch(0, op) for op in ops]
+    assert segmented.stats.counters() == per_op.stats.counters()
+    return segmented.vpu(0).vrf, per_op.vpu(0).vrf
+
+
+def macc(etype, vd, vs1, scalar, vl, offset=0, stride=1, vd_offset=0):
+    return VectorOp(VectorOpcode.VMACC_VS, etype, vd=vd, vs1=vs1, vl=vl,
+                    scalar=scalar, offset=offset, stride=stride, vd_offset=vd_offset)
+
+
+class TestSegmentRunner:
+    """A same-``vd`` ``vmacc.vs`` chain runs as one gather-dot; it must
+    equal per-op execution bit for bit, wrap like it, and fail like it."""
+
+    def test_int32_extremes_wrap_like_per_op(self):
+        w = ElementType.W
+        segmented, per_op = twin_dispatchers()
+        for dispatcher in (segmented, per_op):
+            vrf = dispatcher.vpu(0).vrf
+            vrf.write(1, np.full(16, -(2**31), dtype=np.int32))
+            vrf.write(2, np.full(16, 2**31 - 1, dtype=np.int32))
+            vrf.write(0, np.full(16, 2**31 - 1, dtype=np.int32))
+        scalars = [-(2**31), 2**31 - 1, -(2**31), 2**31 - 1, -(2**31), 2**40 + 3]
+        ops = [macc(w, 0, 1 + k % 2, s, vl=16) for k, s in enumerate(scalars)]
+        segment = segmented.segment(0)
+        for op in ops:
+            segment.add(op)
+            per_op.dispatch(0, op)
+        segmented.run_segment(0, segment)
+        got = segmented.vpu(0).vrf.view(0, w)
+        assert np.array_equal(got, per_op.vpu(0).vrf.view(0, w))
+        exact = 2**31 - 1 + sum(
+            s * (-(2**31) if k % 2 == 0 else 2**31 - 1) for k, s in enumerate(scalars)
+        )
+        wrapped = (exact + 2**31) % 2**32 - 2**31
+        assert got.tolist() == [wrapped] * 16
+
+    def test_int8_chain_wraps(self):
+        b = ElementType.B
+        ops = [macc(b, 3, k % 3, 127 - 60 * k, vl=40, offset=k, stride=1)
+               for k in range(5)]
+        ops += [macc(b, 3, 4, -128, vl=40, offset=1)]
+        collapsed, reference = run_both(ops)
+        assert collapsed.lines[3].data.tobytes() == reference.lines[3].data.tobytes()
+
+    def test_strided_chain_and_vd_offset(self):
+        h = ElementType.H
+        ops = [macc(h, 5, k, 3 * k - 7, vl=9, offset=k, stride=3, vd_offset=4)
+               for k in range(4)]
+        collapsed, reference = run_both(ops)
+        assert collapsed.flat(h).tobytes() == reference.flat(h).tobytes()
+
+    def test_chain_reading_vd_falls_back_to_per_op(self):
+        w = ElementType.W
+        ops = [macc(w, 2, 1, 3, vl=8), macc(w, 2, 2, 5, vl=8, offset=1),
+               macc(w, 2, 3, -1, vl=8)]
+        collapsed, reference = run_both(ops)
+        assert collapsed.flat(w).tobytes() == reference.flat(w).tobytes()
+
+    @pytest.mark.parametrize("stride,offset", [(1, 9), (2, 3)])
+    def test_out_of_range_term_raises_bind_vops_error(self, stride, offset):
+        # vs1 = 1 is not the last register: an unchecked gather would read
+        # register 2 without complaint
+        w = ElementType.W
+        ops = [macc(w, 0, 3, 2, vl=8, stride=stride),
+               macc(w, 0, 4, 5, vl=8, stride=stride),
+               macc(w, 0, 1, 7, vl=8, offset=offset, stride=stride),
+               macc(w, 0, 3, 1, vl=8, stride=stride)]
+        segmented, per_op = twin_dispatchers()
+        with pytest.raises(ValueError) as expected:
+            for op in ops:
+                per_op.dispatch(0, op)
+        segment = segmented.segment(0)
+        for op in ops:
+            segment.add(op)
+        with pytest.raises(ValueError) as raised:
+            segmented.run_segment(0, segment)
+        assert str(raised.value) == str(expected.value)
+        assert "overflows source register 1" in str(raised.value)
+        assert segmented.vpu(0).vrf.flat(w).tobytes() \
+            == per_op.vpu(0).vrf.flat(w).tobytes()
+
+    def test_scalar_past_int64_raises_like_per_op(self):
+        w = ElementType.W
+        ops = [macc(w, 0, 3, 2, vl=8), macc(w, 0, 4, 2**70, vl=8), macc(w, 0, 1, 1, vl=8)]
+        segmented, per_op = twin_dispatchers()
+        with pytest.raises(OverflowError):
+            for op in ops:
+                per_op.dispatch(0, op)
+        segment = segmented.segment(0)
+        for op in ops:
+            segment.add(op)
+        with pytest.raises(OverflowError):
+            segmented.run_segment(0, segment)
+        assert segmented.vpu(0).vrf.flat(w).tobytes() \
+            == per_op.vpu(0).vrf.flat(w).tobytes()
+
+    def test_read_forces_only_a_written_register(self):
+        from repro.runtime.context import KernelContext
+        from repro.runtime.phases import PhaseBreakdown
+
+        w = ElementType.W
+        dispatcher, _ = twin_dispatchers()
+        vrf = dispatcher.vpu(0).vrf
+        vrf.write(1, np.arange(16, dtype=np.int32))
+        vrf.write(0, np.zeros(16, dtype=np.int32))
+        kc = KernelContext(0, w, None, dispatcher, PhaseBreakdown())
+
+        def body():
+            yield from kc.vop(VectorOpcode.VMACC_VS, vd=0, vs1=1, scalar=2, vl=16)
+            untouched = yield from kc.read_element(1, 5)
+            assert len(kc._segment.ops) == 1  # reading vs1 forced nothing
+            written = yield from kc.read_element(0, 5)
+            assert not kc._segment.ops
+            return untouched, written
+
+        steps = body()
+        with pytest.raises(StopIteration) as done:
+            next(steps)
+        assert done.value.value == (5, 10)
