@@ -12,8 +12,9 @@ Asserted relations (the record is only written if they hold):
 
 * the tuned recipe is never worse than the default recipe, for every
   kernel (the search keeps the default as the incumbent);
-* tuned compiled GeMM beats the handwritten Table I ``xmk0`` GEMM at
-  the strip-mined shape, with bit-exact outputs;
+* tuned compiled GeMM beats the frozen cycles of the retired
+  handwritten Table I ``xmk0`` body (:mod:`frozen_xmk0`) at the
+  strip-mined shape, with bit-exact outputs;
 * every tuned output matches the unscheduled reference interpretation
   of the algorithm, bit-exactly.
 
@@ -38,6 +39,7 @@ import time
 
 import numpy as np
 
+from frozen_xmk0 import frozen_xmk0
 from repro.compiler import (
     ALGORITHMS,
     Tuner,
@@ -50,6 +52,7 @@ from repro.compiler import (
 )
 from repro.core.config import ArcaneConfig
 from repro.core.system import ArcaneSystem
+from repro.integrity.check import output_digest
 
 CONFIG = ArcaneConfig(n_vpus=4, lanes=4, line_bytes=256, vpu_kib=8,
                       main_memory_kib=2048)
@@ -57,7 +60,7 @@ TUNE_SLOT = 15
 
 #: Benchmark geometry per kernel.  The GeMM shape is the strip-mined one
 #: (K=48 exceeds the VRF) — the shape at which the compiled kernel beats
-#: the handwritten ``xmk0``.
+#: the frozen handwritten ``xmk0``.
 GEMM_SHAPE = (8, 48, 24)
 GEMM_PARAMS = (2, -1)
 
@@ -102,17 +105,6 @@ def run_recipe(name, recipe, sources, params):
         offload_compiled(prog, TUNE_SLOT, out.etype.suffix, dest=len(handles),
                          sources=list(range(len(handles))), params=list(params))
     return system.read_matrix(out), system.last_report.total_cycles
-
-
-def run_handwritten_gemm(a, b, c, alpha, beta):
-    system = ArcaneSystem(CONFIG)
-    ma, mb, mc = (system.place_matrix(x) for x in (a, b, c))
-    md = system.alloc_matrix((a.shape[0], b.shape[1]), a.dtype)
-    with system.program() as prog:
-        prog.xmr(0, ma).xmr(1, mb).xmr(2, mc).xmr(3, md)
-        prog.gemm(dest=3, a=0, b=1, c=2, alpha=alpha, beta=beta,
-                  suffix=ma.etype.suffix)
-    return system.read_matrix(md), system.last_report.total_cycles
 
 
 def reference(name, sources, params):
@@ -174,7 +166,7 @@ def main() -> None:
               f"{tuned_cycles:>8,}  ({result.evaluated} candidates)  "
               f"[{result.best_recipe.describe()}]")
 
-    # -- tuned compiled GeMM vs the handwritten Table I xmk0 ----------------
+    # -- tuned compiled GeMM vs the frozen handwritten Table I xmk0 ---------
     m, k, n = GEMM_SHAPE
     a = rng.integers(-8, 8, (m, k)).astype(np.int16)
     b = rng.integers(-8, 8, (k, n)).astype(np.int16)
@@ -183,10 +175,11 @@ def main() -> None:
     tuned_out, tuned_cycles = run_recipe(
         "cgemm", gemm_result.best_recipe, [a, b, c], GEMM_PARAMS
     )
-    hand_out, hand_cycles = run_handwritten_gemm(a, b, c, *GEMM_PARAMS)
-    assert np.array_equal(tuned_out, hand_out)
+    frozen = frozen_xmk0(f"bench_autotune/{m}x{k}x{n}")
+    hand_cycles = frozen["total_cycles"]
+    assert output_digest(tuned_out).hex() == frozen["output"]
     assert tuned_cycles < hand_cycles, (
-        f"tuned cgemm ({tuned_cycles}) must beat handwritten xmk0 "
+        f"tuned cgemm ({tuned_cycles}) must beat the frozen xmk0 cycles "
         f"({hand_cycles}) at the strip-mined shape {GEMM_SHAPE}"
     )
     versus = {
@@ -197,7 +190,7 @@ def main() -> None:
         "tuned_recipe": gemm_result.best_recipe.as_steps(),
         "bit_exact": True,
     }
-    print(f"cgemm vs handwritten xmk0 @ {m}x{k}x{n}: "
+    print(f"cgemm vs frozen xmk0 @ {m}x{k}x{n}: "
           f"{hand_cycles:,} -> {tuned_cycles:,} "
           f"({versus['speedup']}x, bit-exact)")
 

@@ -1,14 +1,17 @@
 """Compiled vs handwritten kernels: simulated-cycle comparison.
 
-Renders one artifact: the compiled GeMM/conv twins against their
-handwritten Table I counterparts (same shapes, same system config), and
-the simulated cycle cost of the four new compiled-only workloads
-(fully-connected, depthwise conv, element-wise add/mul, row-sum).
+Renders one artifact: the compiled GeMM against the frozen cycles of the
+retired handwritten ``xmk0`` body (:mod:`frozen_xmk0`, same inputs, same
+system config), the compiled depthwise conv against the handwritten
+``xmk3``, and the simulated cycle cost of the four new compiled-only
+workloads (fully-connected, depthwise conv, element-wise add/mul,
+row-sum).
 
 Asserted relations:
 
-* compiled GeMM is bit-exact vs ``xmk0`` and within 10% of its cycles
-  (better once strip-mined: the row cache keeps partial strips resident);
+* compiled GeMM is bit-exact vs the frozen ``xmk0`` outputs and within
+  10% of its cycles (better once strip-mined: the row cache keeps
+  partial strips resident);
 * compiled single-channel conv matches ``xmk3`` bit-exactly;
 * every compiled-only kernel matches its NumPy golden model.
 """
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import publish
+from frozen_xmk0 import frozen_xmk0
 from repro.baselines.reference import ref_conv2d, ref_gemm
 from repro.compiler import (
     FUNC5_CGEMM,
@@ -30,6 +34,7 @@ from repro.compiler import (
 )
 from repro.core.config import ArcaneConfig
 from repro.core.system import ArcaneSystem
+from repro.integrity.check import output_digest
 
 CONFIG = ArcaneConfig(n_vpus=4, lanes=4, line_bytes=256, vpu_kib=8,
                       main_memory_kib=2048)
@@ -54,17 +59,6 @@ def run_compiled(func5, sources, dest_shape, dtype, params=()):
     return system.read_matrix(out), system.last_report.total_cycles
 
 
-def run_handwritten_gemm(a, b, c, alpha, beta):
-    system = make_system()
-    ma, mb, mc = (system.place_matrix(x) for x in (a, b, c))
-    md = system.alloc_matrix((a.shape[0], b.shape[1]), a.dtype)
-    with system.program() as prog:
-        prog.xmr(0, ma).xmr(1, mb).xmr(2, mc).xmr(3, md)
-        prog.gemm(dest=3, a=0, b=1, c=2, alpha=alpha, beta=beta,
-                  suffix=ma.etype.suffix)
-    return system.read_matrix(md), system.last_report.total_cycles
-
-
 def run_handwritten_conv(x, f):
     system = make_system()
     mx, mf = system.place_matrix(x), system.place_matrix(f)
@@ -81,18 +75,18 @@ def results():
     rng = np.random.default_rng(7)
     rows = []
 
-    # -- twins: compiled vs handwritten ------------------------------------
+    # -- twins: compiled vs handwritten (GeMM: its frozen cycles) -----------
     for label, (m, k, n) in (("fits VRF", (8, 16, 24)), ("strip-mined", (8, 48, 24))):
         a = rng.integers(-8, 8, (m, k)).astype(np.int16)
         b = rng.integers(-8, 8, (k, n)).astype(np.int16)
         c = rng.integers(-8, 8, (m, n)).astype(np.int16)
-        hand, hand_cycles = run_handwritten_gemm(a, b, c, 2, -1)
         comp, comp_cycles = run_compiled(
             FUNC5_CGEMM, [a, b, c], (m, n), np.int16, params=[2, -1]
         )
-        assert np.array_equal(hand, ref_gemm(a, b, c, 2, -1))
-        assert np.array_equal(comp, hand)
-        rows.append((f"gemm {m}x{k}x{n} ({label})", hand_cycles, comp_cycles))
+        frozen = frozen_xmk0(f"bench_compiled_kernels/{m}x{k}x{n}")
+        assert np.array_equal(comp, ref_gemm(a, b, c, 2, -1))
+        assert output_digest(comp).hex() == frozen["output"]
+        rows.append((f"gemm {m}x{k}x{n} ({label})", frozen["total_cycles"], comp_cycles))
 
     x = rng.integers(-6, 6, (30, 32)).astype(np.int16)
     f = rng.integers(-3, 3, (3, 3)).astype(np.int16)
@@ -148,7 +142,8 @@ def test_compiled_vs_handwritten(benchmark, results):
         ),
         rounds=3, iterations=1,
     )
-    lines = ["Compiled vs handwritten kernels (simulated cycles)", ""]
+    lines = ["Compiled vs handwritten kernels (simulated cycles; the GeMM "
+             "rows' handwritten column is the frozen xmk0)", ""]
     lines.append(f"{'workload':<28} {'handwritten':>12} {'compiled':>10} {'ratio':>7}")
     for label, hand, comp in results["twins"]:
         lines.append(f"{label:<28} {hand:>12,} {comp:>10,} {comp / hand:>6.2f}x")
@@ -165,7 +160,7 @@ def test_compiled_gemm_within_10pct(results):
             assert comp <= hand * 1.10, (label, hand, comp)
 
 
-def test_strip_mined_gemm_beats_handwritten(results):
+def test_strip_mined_gemm_beats_frozen_xmk0(results):
     """The row cache's partial-strip reuse should win once strip-mined."""
     strip = next(r for r in results["twins"] if "strip-mined" in r[0])
     assert strip[2] < strip[1]

@@ -7,8 +7,9 @@ kernel, the tuned recipe's simulated cycles must be **at most** the
 default recipe's (the default is the incumbent the beam search starts
 from, so a tuned result that is worse means the tuner stopped honouring
 its own oracle).  The record's ``gemm_vs_handwritten`` section is gated
-the same way: tuned compiled GeMM must still beat the handwritten
-``xmk0`` at the strip-mined shape, bit-exactly.
+the same way: tuned compiled GeMM must still beat the frozen cycles of
+the retired handwritten ``xmk0`` body at the strip-mined shape,
+bit-exactly.
 
 With ``--baseline`` (the committed record) the gate additionally
 compares tuned cycles per kernel and fails when a kernel got slower by
@@ -65,14 +66,14 @@ def check_invariants(record: dict) -> int:
         print("FAIL: gemm_vs_handwritten section missing or incomplete")
         failures += 1
     elif tuned >= hand:
-        print(f"FAIL: tuned cgemm {tuned:,} no longer beats handwritten "
+        print(f"FAIL: tuned cgemm {tuned:,} no longer beats the frozen "
               f"xmk0 {hand:,} at shape {versus.get('shape')}")
         failures += 1
     elif not versus.get("bit_exact"):
         print("FAIL: gemm_vs_handwritten does not attest bit-exactness")
         failures += 1
     else:
-        print(f"  cgemm vs xmk0: tuned {tuned:,} < handwritten {hand:,} [ok]")
+        print(f"  cgemm vs frozen xmk0: tuned {tuned:,} < {hand:,} [ok]")
     return failures
 
 

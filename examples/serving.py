@@ -70,7 +70,7 @@ def build_requests(rng) -> list:
         requests.append(conv_layer_request(rid, image, filters))
         rid += 1
 
-        # a GeMM on the handwritten xmk0 kernel
+        # a GeMM on Table I slot 0 (xmk0, the compiled GeMM)
         a = rng.integers(-6, 6, (8, 12)).astype(np.int16)
         b = rng.integers(-6, 6, (12, 10)).astype(np.int16)
         requests.append(gemm_request(rid, a, b, alpha=2, beta=0))

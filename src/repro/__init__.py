@@ -17,7 +17,7 @@ Public entry points:
   (shard / strip-mine / unroll / vectorize) and lower them to
   library-registrable kernels.  ``install_compiled`` adds six compiled
   workloads (GeMM, depthwise conv, fully-connected, element-wise
-  add/mul, row-sum) above the five handwritten Table I slots — the
+  add/mul, row-sum) above the five Table I slots — the
   paper's software-based ISA extensibility at compiler scale (see
   ``examples/compiled_kernel.py``);
 * :mod:`repro.eval` -- area model, throughput comparisons and the data

@@ -19,7 +19,7 @@ cheapest schedule per (kernel, geometry, config), memoized in a
 JSON-persistable :class:`~repro.compiler.tune.ScheduleCache`.
 
 The compiled :class:`~repro.runtime.kernel_lib.KernelSpec` is a drop-in
-peer of the handwritten Table I kernels: same preamble contract, same
+peer of the Table I kernels (slot 0 *is* one): same preamble contract, same
 :class:`~repro.runtime.context.KernelContext` micro-program API, same
 hazard guarding — new complex instructions without touching simulator,
 runtime or hardware model.

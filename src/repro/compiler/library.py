@@ -19,7 +19,7 @@ the defaults.  The stock library:
 ==============  ======  ====================================================
 Mnemonic        func5   Operation
 ==============  ======  ====================================================
-``cgemm``       16      D = alpha * (A @ B) + beta * C (compiled twin of xmk0)
+``cgemm``       16      D = alpha * (A @ B) + beta * C (also serves xmk0)
 ``dwconv2d``    17      depthwise 'valid' conv: per-channel planes x filters
 ``fc``          18      fully-connected: out = x @ W + bias (GEMV + bias)
 ``ewise_add``   19      D = X + Y
@@ -30,12 +30,15 @@ Mnemonic        func5   Operation
 ``dwconv2d`` stacks channel planes row-wise like ``xmk4``: X is (C*H, W),
 F is (C*K, K), D is (C*(H-K+1), W-K+1); with C == 1 it is exactly the
 ``xmk3`` single-channel convolution.  ``cgemm`` and ``dwconv2d`` use the
-same operand packing as their handwritten twins, so host programs are
-interchangeable between the two.
+same operand packing as Table I's ``xmk0`` and ``xmk3``, so host programs
+are interchangeable between them.  GeMM has one source: Table I slot 0
+(``xmk0``) registers :func:`make_gemm_spec` under the default recipe.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.compiler.ir import Accum, Assign, KernelProgram, Loop, Operand, Sym
@@ -62,7 +65,7 @@ USER_SLOTS = range(5, 16)
 
 
 def gemm_program() -> KernelProgram:
-    """D = alpha * (A @ B) + beta * C — the parity algorithm vs ``xmk0``."""
+    """D = alpha * (A @ B) + beta * C — served in slots 0 (``xmk0``) and 16."""
     M, K, N = Sym("M"), Sym("K"), Sym("N")
     alpha, beta = Sym("alpha"), Sym("beta")
     d = Operand("d", (M, N), out=True)
@@ -248,21 +251,27 @@ def recompile(
     Pass a slot from :data:`USER_SLOTS` (5..15) to install the variant
     *alongside* the stock kernel instead.
     """
-    program = algorithm(name)
     chosen = default_recipe(name) if recipe is None else Recipe.coerce(recipe)
-    schedule = Schedule(program).apply(chosen)
-    slot = DEFAULT_FUNC5[name] if func5 is None else func5
-    return compile_kernel(
-        schedule, slot,
-        description or f"compiled {name} [{chosen.describe()}]",
+    return replace(
+        _lowered(name, chosen),
+        func5=DEFAULT_FUNC5[name] if func5 is None else func5,
+        description=description or f"compiled {name} [{chosen.describe()}]",
     )
+
+
+@lru_cache(maxsize=None)
+def _lowered(name: str, recipe: Recipe) -> KernelSpec:
+    """Schedule and lower one (algorithm, recipe) pair once per process
+    (at most the legal-recipe space); every slot registering it shares
+    the emitted body, which holds no state."""
+    return compile_kernel(Schedule(algorithm(name)).apply(recipe), DEFAULT_FUNC5[name])
 
 
 # -- stock spec builders (algorithm + default recipe, overridable) -----------
 
 
 def make_gemm_spec(func5: int = FUNC5_CGEMM, recipe=None) -> KernelSpec:
-    """Compiled GeMM — the parity benchmark against handwritten ``xmk0``."""
+    """Compiled GeMM — ``cgemm`` in slot 16, and ``xmk0`` in slot 0."""
     return recompile(
         "cgemm", recipe, func5, "compiled D = alpha * (A @ B) + beta * C"
     )

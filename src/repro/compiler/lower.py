@@ -1,31 +1,33 @@
 """Lowering: scheduled IR -> a registered :class:`KernelSpec`.
 
-:func:`compile_kernel` turns a vectorized :class:`Schedule` into the same
-two artifacts a handwritten kernel module exports:
+:func:`compile_kernel` turns a vectorized :class:`Schedule` into the two
+artifacts every library kernel has:
 
 * an auto-generated **preamble** — unpacks the instruction word with the
   Table I operand-packing convention, resolves logical matrix registers
   through the :class:`~repro.runtime.matrix.MatrixMap`, checks element
   types, and infers/validates every symbolic dimension from the actual
   operand shapes (:func:`repro.compiler.ir.bind_shapes`);
-* a **body generator** driving :class:`~repro.runtime.context.
-  KernelContext` — it claims register windows sized by the shared
-  VRF-capacity policy (:func:`repro.runtime.kernels.common.k_strip_size`),
-  keeps source rows resident in direct-mapped row caches (so a B-matrix
-  strip is DMA-loaded once and reused across output rows exactly like the
-  handwritten GeMM), batches strip loads under one cache-lock
-  acquisition, folds zero coefficients at launch time (``beta == 0``
-  skips the C load and becomes ``vclear``), and skips null ``vmacc.vs``
-  contributions like the handwritten kernels do.
+* a **body generator** emitted once as Python source and compiled once
+  (:class:`_Emitter`): loops are ``for`` loops, indices plain
+  arithmetic, and it calls nothing but the
+  :class:`~repro.runtime.context.KernelContext`, so no IR is walked at
+  run time.  It claims register windows sized by the VRF-capacity
+  policy (:func:`repro.runtime.kernels.common.k_strip_size`), keeps
+  source rows resident in direct-mapped windows (a B-matrix strip is
+  DMA-loaded once and reused across output rows), loads each output
+  row's coefficient rows first, batches strip loads under one
+  cache-lock acquisition, folds zero coefficients at launch time
+  (``beta == 0`` skips the C load and becomes ``vclear``) and skips null
+  ``vmacc.vs`` contributions.
 
-The result registers into the kernel library by ``func5`` and is
-indistinguishable from a handwritten kernel to the decoder/scheduler.
+The result registers into the kernel library by ``func5``; GeMM slot 0
+(``xmk0``) is this compiler's GeMM.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.ir import (
     Access,
@@ -49,19 +51,16 @@ from repro.compiler.ir import (
     VectorStmt,
     accesses,
     bind_shapes,
-    eval_expr,
     key,
     syms,
     walk,
 )
 from repro.compiler.schedule import Schedule
 from repro.isa.xmnmc import OffloadRequest
-from repro.runtime.context import KernelContext
 from repro.runtime.kernel_lib import KernelSpec, PreambleResult
 from repro.runtime.kernels.common import k_strip_size, shard_rows, signed16
-from repro.runtime.matrix import MatrixBinding, MatrixMap
-from repro.runtime.queue import QueuedKernel
-from repro.vpu.visa import OP_TRAITS, VectorOpcode
+from repro.runtime.matrix import MatrixMap
+from repro.vpu.visa import OP_TRAITS, ElementType, VectorOpcode
 
 
 class LoweringError(CompilerError):
@@ -69,7 +68,7 @@ class LoweringError(CompilerError):
 
 
 #: Which opcodes each vector statement's lowering can emit (see
-#: ``_Interp._exec_vector``).  Consulted against ``OP_TRAITS`` when
+#: ``_Emitter.vector``).  Consulted against ``OP_TRAITS`` when
 #: planning register windows.
 _STMT_OPCODES = {
     VInit: (VectorOpcode.VCLEAR, VectorOpcode.VMV, VectorOpcode.VMUL_VS),
@@ -112,29 +111,13 @@ class _Plan:
 
 
 def _row_uses(program: KernelProgram) -> Dict[str, List[Expr]]:
-    """operand -> row expressions of every vector/scalar access."""
+    """operand -> row expressions of every vector/scalar access, in order."""
     uses: Dict[str, List[Expr]] = {}
-
-    def note(operand: str, row: Expr) -> None:
-        uses.setdefault(operand, []).append(row)
-
-    def note_scalar(expr: Expr) -> None:
-        for access in accesses(expr):
-            note(access.operand, access.row)
-
     for stmt in walk(program.body):
-        if isinstance(stmt, VInit):
-            note_scalar(stmt.coeff)
-            if stmt.src is not None:
-                note(stmt.src.operand, stmt.src.row)
-        elif isinstance(stmt, VEwise):
-            note(stmt.a.operand, stmt.a.row)
-            note(stmt.b.operand, stmt.b.row)
-        elif isinstance(stmt, VMacc):
-            note_scalar(stmt.coeff)
-            note(stmt.src.operand, stmt.src.row)
-        elif isinstance(stmt, VReduce):
-            note(stmt.src.operand, stmt.src.row)
+        coeff = stmt.coeff if isinstance(stmt, (VInit, VMacc)) else Const(0)
+        refs = [getattr(stmt, name, None) for name in ("src", "a", "b")]
+        for ref in accesses(coeff) + [ref for ref in refs if ref is not None]:
+            uses.setdefault(ref.operand, []).append(ref.row)
     return uses
 
 
@@ -285,251 +268,267 @@ def _analyze(program: KernelProgram) -> _Plan:
 
 
 # ---------------------------------------------------------------------------
-# runtime support
+# the body emitter
 # ---------------------------------------------------------------------------
 
 
-class _RowCache:
-    """Direct-mapped resident-row tracking over one register window."""
-
-    def __init__(self, window, capacity: int) -> None:
-        self.window = window
-        self.capacity = capacity
-        self.resident: Dict[int, int] = {}  # slot -> matrix row
-
-    def slot(self, row: int) -> int:
-        return row % self.capacity
-
-    def lookup(self, row: int) -> Optional[int]:
-        slot = self.slot(row)
-        if self.resident.get(slot) == row:
-            return self.window[slot]
-        return None
-
-    def mark(self, row: int) -> int:
-        slot = self.slot(row)
-        self.resident[slot] = row
-        return self.window[slot]
+def _ident(prefix: str, name: str) -> str:
+    """A Python local for an IR name (symbols and operands are user text)."""
+    return prefix + (name if name.isidentifier() else "x" + name.encode().hex())
 
 
-class _Interp:
-    """Executes the scheduled IR as a micro-program on a KernelContext."""
+class _Emitter:
+    """Writes the scheduled IR as the Python source of one body generator.
 
-    def __init__(
-        self,
-        plan: _Plan,
-        kc: KernelContext,
-        env: Dict[str, int],
-        bindings: Dict[str, MatrixBinding],
-        dest: MatrixBinding,
-        shard: Optional[Tuple[int, int]],
-        vl: int,
-    ) -> None:
+    Loops become ``for`` loops over locals (``s_<var>``) and index
+    expressions plain arithmetic.  Each source operand keeps its rows in
+    a direct-mapped register window ``w_<operand>`` (slot ``row %
+    capacity``, resident rows in ``r_<operand>``) checked inline, so a
+    B-matrix strip is DMA-loaded once and reused across output rows, and
+    the executed body calls nothing but the :class:`KernelContext`.
+    """
+
+    def __init__(self, plan: _Plan) -> None:
         self.plan = plan
-        self.kc = kc
-        self.env = env
-        self.bindings = bindings
-        self.dest = dest
-        self.shard = shard
-        self.vl = vl
-        self.acc: int = -1
-        self.acc_win = None
-        self.tmp: int = -1
-        self.caches: Dict[str, _RowCache] = {}
-
-    # -- setup ---------------------------------------------------------------
-
-    def claim_windows(self) -> None:
-        kc, plan, env = self.kc, self.plan, self.env
-        budget = kc.free_regs()
-        reserved = 1 + (1 if plan.needs_scratch else 0)
-        fixed = {
-            name: max(1, eval_expr(spec.capacity, env))
+        self.lines: List[str] = []
+        self.temps = 0
+        #: operand -> its window's slot count (a local, or a literal)
+        self.capacity = {
+            name: _ident("s_", plan.strip.size_sym) if spec.is_strip
+            else str(max(1, spec.capacity.value)) if isinstance(spec.capacity, Const)
+            else _ident("c_", name)
             for name, spec in plan.caches.items()
-            if not spec.is_strip
         }
-        reserved += sum(fixed.values())
-        strip_spec = next((c for c in plan.caches.values() if c.is_strip), None)
-        if strip_spec is not None:
-            total = eval_expr(plan.strip.total, env)
-            size = k_strip_size(total, budget, reserved)
-            if plan.strip.max_size is not None:
-                # recipe-provided cap on the launch-time strip choice
-                size = min(size, plan.strip.max_size)
-            env[plan.strip.size_sym] = size
-            self.caches[strip_spec.operand] = _RowCache(kc.claim(size), size)
-        self.acc_win = kc.claim(1)
-        self.acc = self.acc_win[0]
-        if plan.needs_scratch:
-            self.tmp = kc.claim(1)[0]
-        for name, capacity in fixed.items():
-            self.caches[name] = _RowCache(kc.claim(capacity), capacity)
 
-    # -- data residency -------------------------------------------------------
+    def emit(self, depth: int, *lines: str) -> None:
+        self.lines.extend("    " * depth + line for line in lines)
 
-    def _ensure_row(self, operand: str, row: int) -> Generator:
-        cache = self.caches[operand]
-        register = cache.lookup(row)
-        if register is None:
-            slot = cache.slot(row)
-            yield from self.kc.load_rows(
-                cache.window, self.bindings[operand], row, 1, reg_start=slot
-            )
-            register = cache.mark(row)
-        return register
-
-    def _ensure_ref(self, ref: RowRef) -> Generator:
-        row = eval_expr(ref.row, self.env)
-        offset = eval_expr(ref.offset, self.env)
-        register = yield from self._ensure_row(ref.operand, row)
-        return register, offset
-
-    def _ensure_strip(self, count: int) -> Generator:
-        """Batch-load the missing rows of the current strip (one lock)."""
-        plan, env = self.plan, self.env
-        spec = next(c for c in plan.caches.values() if c.is_strip)
-        cache = self.caches[spec.operand]
-        binding = self.bindings[spec.operand]
-        specs = []
-        for index in range(count):
-            env[plan.strip.inner_var] = index
-            row = eval_expr(spec.strip_row, env)
-            if cache.lookup(row) is None:
-                specs.append((cache.window, binding, row, cache.slot(row)))
-                cache.mark(row)
-        if specs:
-            yield from self.kc.load_row_set(specs)
-
-    # -- scalar evaluation ----------------------------------------------------
-
-    def _eval_scalar(self, expr: Expr) -> Generator:
-        """Evaluate a coefficient, reading matrix elements via the eCPU."""
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, Sym):
-            return self.env[expr.name]
-        if isinstance(expr, Access):
-            row = eval_expr(expr.row, self.env)
-            col = eval_expr(expr.col, self.env)
-            register = yield from self._ensure_row(expr.operand, row)
-            value = yield from self.kc.read_element(register, col)
+    def bind(self, depth: int, value: str) -> str:
+        """``value`` as a local or a literal, evaluated once."""
+        if value.isidentifier() or value.lstrip("-").isdigit():
             return value
+        self.temps += 1
+        self.emit(depth, f"t{self.temps} = {value}")
+        return f"t{self.temps}"
+
+    def index(self, expr: Expr) -> str:
+        """A pure index expression as Python arithmetic."""
+        if isinstance(expr, Const):
+            return repr(expr.value)
+        if isinstance(expr, Sym):
+            return _ident("s_", expr.name)
         if isinstance(expr, BinOp):
-            lhs = yield from self._eval_scalar(expr.lhs)
-            rhs = yield from self._eval_scalar(expr.rhs)
-            if expr.op == "+":
-                return lhs + rhs
-            if expr.op == "-":
-                return lhs - rhs
-            if expr.op == "*":
-                return lhs * rhs
-            if expr.op == "//":
-                return lhs // rhs
-        raise LoweringError(f"cannot evaluate scalar expression {expr!r}")
+            return f"({self.index(expr.lhs)} {expr.op} {self.index(expr.rhs)})"
+        raise LoweringError(f"element access {expr!r} in an index position")
 
-    # -- execution -------------------------------------------------------------
+    def scalar(self, depth: int, expr: Expr) -> str:
+        """Emit a coefficient's element reads, in order; return its value."""
+        if isinstance(expr, BinOp):
+            lhs = self.scalar(depth, expr.lhs)
+            return f"({lhs} {expr.op} {self.scalar(depth, expr.rhs)})"
+        if isinstance(expr, Access):
+            register = self.ensure(depth, expr.operand, expr.row)
+            col = self.index(expr.col)
+            return self.bind(depth, f"(yield from kc.read_element({register}, {col}))")
+        return self.index(expr)
 
-    def run(self) -> Generator:
-        if (
-            self.shard is not None
-            and self.shard != (0, 1)
-            and self.plan.sharded_var is None
-        ):
-            # unsharded kernel in multi-instance mode: one shard does the work
-            if self.shard[0] != 0:
-                return
-        self.claim_windows()
-        yield from self._exec_block(self.plan.program.body)
-        if self.plan.store_loop is None:
-            yield from self._store()
+    def ensure(self, depth: int, operand: str, row_expr: Expr) -> str:
+        """Emit a residency check that loads on a miss; return the register."""
+        row = self.bind(depth, self.index(row_expr))
+        window, resident, capacity = (
+            _ident("w_", operand), _ident("r_", operand), self.capacity[operand]
+        )
+        load = f"yield from kc.load_rows({window}, {_ident('m_', operand)}, {row}, 1"
+        if capacity == "1":  # a single-row window needs no slot arithmetic
+            self.emit(depth, f"if {resident} != {row}:", f"    {load}, 0)",
+                      f"    {resident} = {row}")
+            return _ident("g_", operand)
+        slot = self.bind(depth, f"{row} % {capacity}")
+        self.emit(depth, f"if {resident}[{slot}] != {row}:", f"    {load}, {slot})",
+                  f"    {resident}[{slot}] = {row}")
+        return f"{window}[{slot}]"
 
-    def _store(self) -> Generator:
-        row = eval_expr(self.plan.dest_row, self.env)
-        yield from self.kc.store_rows(self.acc_win, self.dest, row, 1)
+    def ref(self, depth: int, ref: RowRef) -> Tuple[str, str]:
+        return self.ensure(depth, ref.operand, ref.row), self.index(ref.offset)
 
-    def _exec_block(self, block: Sequence[Stmt]) -> Generator:
+    # -- statements -------------------------------------------------------------
+
+    def block(self, depth: int, block: Sequence[Stmt]) -> None:
         for stmt in block:
             if isinstance(stmt, Loop):
-                yield from self._exec_loop(stmt)
+                self.loop(depth, stmt)
             elif isinstance(stmt, StripLoop):
-                yield from self._exec_strip(stmt)
-            elif isinstance(stmt, VectorStmt):
-                yield from self._exec_vector(stmt)
-            else:  # pragma: no cover - analysis rejects other forms
-                raise LoweringError(f"unexpected statement {stmt!r}")
-
-    def _exec_loop(self, loop: Loop) -> Generator:
-        extent = eval_expr(loop.extent, self.env)
-        start, count = 0, extent
-        if loop.sharded and self.shard is not None:
-            start, count = shard_rows(extent, self.shard)
-        for value in range(start, start + count):
-            self.env[loop.var] = value
-            yield from self._exec_block(loop.body)
-            if loop is self.plan.store_loop:
-                yield from self._store()
-
-    def _exec_strip(self, strip: StripLoop) -> Generator:
-        total = eval_expr(strip.total, self.env)
-        size = self.env[strip.size_sym]
-        for outer in range((total + size - 1) // size):
-            self.env[strip.outer_var] = outer
-            count = min(size, total - outer * size)
-            yield from self._ensure_strip(count)
-            for inner in range(count):
-                self.env[strip.inner_var] = inner
-                yield from self._exec_block(strip.body)
-
-    def _exec_vector(self, stmt: VectorStmt) -> Generator:
-        kc, vl = self.kc, self.vl
-        if isinstance(stmt, VInit):
-            coeff = yield from self._eval_scalar(stmt.coeff)
-            if stmt.src is None or coeff == 0:
-                # launch-time constant folding: a zero coefficient clears
-                # the accumulator and skips the source row DMA entirely
-                yield from kc.vop(VectorOpcode.VCLEAR, vd=self.acc, vl=vl)
-                return
-            register, offset = yield from self._ensure_ref(stmt.src)
-            if coeff == 1:
-                yield from kc.vop(
-                    VectorOpcode.VMV, vd=self.acc, vs1=register, offset=offset, vl=vl
-                )
+                self.strip(depth, stmt)
             else:
-                yield from kc.vop(
-                    VectorOpcode.VMUL_VS, vd=self.acc, vs1=register,
-                    scalar=coeff, offset=offset, vl=vl,
-                )
+                self.vector(depth, stmt)
+
+    def loop(self, depth: int, loop: Loop) -> None:
+        var, extent = _ident("s_", loop.var), self.index(loop.extent)
+        if loop.sharded:
+            self.emit(
+                depth,
+                f"first, count = (0, {extent}) if shard is None "
+                f"else shard_rows({extent}, shard)",
+                f"for {var} in range(first, first + count):",
+            )
+        else:
+            self.emit(depth, f"for {var} in range({extent}):")
+        if loop is self.plan.store_loop:
+            self.hoist(depth + 1, loop)
+        self.block(depth + 1, loop.body)
+        if loop is self.plan.store_loop:
+            self.store(depth + 1)
+
+    def hoist(self, depth: int, loop: Loop) -> None:
+        """Load the coefficient rows no inner loop variable indexes first,
+        at the top of each output row (the order ``xmk0`` always used)."""
+        inner = set()
+        for stmt in walk(loop.body):
+            if isinstance(stmt, Loop):
+                inner.add(stmt.var)
+            elif isinstance(stmt, StripLoop):
+                inner |= {stmt.outer_var, stmt.inner_var}
+        seen = set()
+        coeffs = [s.coeff for s in walk(loop.body) if isinstance(s, (VInit, VMacc))]
+        for access in (access for coeff in coeffs for access in accesses(coeff)):
+            ident = (access.operand, key(access.row))
+            if ident not in seen and not syms(access.row) & inner:
+                seen.add(ident)
+                self.ensure(depth, access.operand, access.row)
+
+    def strip(self, depth: int, strip: StripLoop) -> None:
+        """Strips of launch-time size; each strip's missing rows are
+        batch-loaded under one cache-lock acquisition."""
+        spec = next(c for c in self.plan.caches.values() if c.is_strip)
+        size, total = _ident("s_", strip.size_sym), self.bind(depth, self.index(strip.total))
+        outer, inner = _ident("s_", strip.outer_var), _ident("s_", strip.inner_var)
+        window, binding, resident = (
+            _ident(prefix, spec.operand) for prefix in ("w_", "m_", "r_")
+        )
+        self.emit(
+            depth,
+            f"for {outer} in range(({total} + {size} - 1) // {size}):",
+            f"    count = min({size}, {total} - {outer} * {size})",
+            "    rows = []",
+            f"    for {inner} in range(count):",
+            f"        row = {self.index(spec.strip_row)}",
+            f"        if {resident}[row % {size}] != row:",
+            f"            rows.append(({window}, {binding}, row, row % {size}))",
+            f"            {resident}[row % {size}] = row",
+            "    if rows:",
+            "        yield from kc.load_row_set(rows)",
+            f"    for {inner} in range(count):",
+        )
+        self.block(depth + 2, strip.body)
+
+    def store(self, depth: int) -> None:
+        row = self.index(self.plan.dest_row)
+        self.emit(depth, f"yield from kc.store_rows(acc_win, dest, {row}, 1)")
+
+    def vector(self, depth: int, stmt: VectorStmt) -> None:
+        """One vector statement; ``vop``'s arguments are positional:
+        (opcode, vd, vs1, vs2, vl, scalar, offset, stride, vd_offset)."""
+        emit = self.emit
+        if isinstance(stmt, VInit):
+            coeff = self.bind(depth, self.scalar(depth, stmt.coeff))
+            clear = "yield from kc.vop(VCLEAR, acc, 0, 0, vl)"
+            if stmt.src is None:
+                return emit(depth, clear)
+            # launch-time constant folding: a zero coefficient clears the
+            # accumulator and skips the source row DMA entirely
+            emit(depth, f"if {coeff} == 0:", f"    {clear}", "else:")
+            register, offset = self.ref(depth + 1, stmt.src)
+            emit(
+                depth + 1, f"if {coeff} == 1:",
+                f"    yield from kc.vop(VMV, acc, {register}, 0, vl, 0, {offset})",
+                "else:",
+                f"    yield from kc.vop(VMUL_VS, acc, {register}, 0, vl, {coeff}, {offset})",
+            )
         elif isinstance(stmt, VEwise):
-            reg_a, off_a = yield from self._ensure_ref(stmt.a)
-            reg_b, _ = yield from self._ensure_ref(stmt.b)
-            opcode = VectorOpcode.VADD_VV if stmt.op == "add" else VectorOpcode.VMUL_VV
-            yield from kc.vop(
-                opcode, vd=self.acc, vs1=reg_a, vs2=reg_b, offset=off_a, vl=vl
-            )
+            (reg_a, offset), (reg_b, _) = self.ref(depth, stmt.a), self.ref(depth, stmt.b)
+            opcode = "VADD_VV" if stmt.op == "add" else "VMUL_VV"
+            emit(depth, f"yield from kc.vop({opcode}, acc, {reg_a}, {reg_b}, vl, 0, {offset})")
         elif isinstance(stmt, VMacc):
-            coeff = yield from self._eval_scalar(stmt.coeff)
-            if coeff == 0:
-                return  # software skips null contributions (like gemm.py)
-            register, offset = yield from self._ensure_ref(stmt.src)
-            yield from kc.vop(
-                VectorOpcode.VMACC_VS, vd=self.acc, vs1=register,
-                scalar=coeff, offset=offset, vl=vl,
-            )
+            coeff = self.bind(depth, self.scalar(depth, stmt.coeff))
+            emit(depth, f"if {coeff} != 0:  # software skips null contributions")
+            register, offset = self.ref(depth + 1, stmt.src)
+            emit(depth + 1,
+                 f"yield from kc.vop(VMACC_VS, acc, {register}, 0, vl, {coeff}, {offset})")
         elif isinstance(stmt, VReduce):
-            register, offset = yield from self._ensure_ref(stmt.src)
-            yield from kc.vop(
-                VectorOpcode.VREDSUM, vd=self.tmp, vs1=register, offset=offset, vl=vl
-            )
-            col = eval_expr(stmt.col, self.env)
-            yield from kc.vop(
-                VectorOpcode.VADD_VV, vd=self.acc, vd_offset=col,
-                vs1=self.acc, offset=col, vs2=self.tmp, vl=1,
-            )
-        elif isinstance(stmt, VClearElem):
-            col = eval_expr(stmt.col, self.env)
-            yield from kc.vop(VectorOpcode.VCLEAR, vd=self.acc, vd_offset=col, vl=1)
-        else:  # pragma: no cover
-            raise LoweringError(f"unknown vector statement {stmt!r}")
+            (register, offset), col = self.ref(depth, stmt.src), self.index(stmt.col)
+            emit(depth, f"yield from kc.vop(VREDSUM, tmp, {register}, 0, vl, 0, {offset})",
+                 f"yield from kc.vop(VADD_VV, acc, acc, tmp, 1, 0, {col}, 1, {col})")
+        else:  # VClearElem
+            col = self.index(stmt.col)
+            emit(depth, f"yield from kc.vop(VCLEAR, acc, 0, 0, 1, 0, 0, 1, {col})")
+
+    def body(self, source_names: Sequence[str]) -> str:
+        plan, program, emit = self.plan, self.plan.program, self.emit
+        emit(0, "def body(kc, kernel, shard=None):")
+        for name in sorted(program.dims | set(program.params)):
+            emit(1, f"{_ident('s_', name)} = kernel.scalars[{name!r}]")
+        sources = "".join(_ident("m_", name) + ", " for name in source_names)
+        emit(
+            1, f"{sources}= kernel.sources", "dest = kernel.dest",
+            f"vl = {self.index(program.vector_extent)}",
+            "if vl <= 0:", "    return",
+            "if vl > kc.max_vl:",
+            f"    raise ValueError({f'kernel {program.name!r}: '!r} + f\"output rows of "
+            "{vl} elements exceed the {kc.max_vl}-element vector registers\")",
+        )
+        if plan.sharded_var is None:
+            # unsharded kernel in multi-instance mode: one shard does the work
+            emit(1, "if shard is not None and shard[0] != 0:", "    return")
+        # register windows: strip, accumulator, scratch, then single rows
+        fixed = [name for name, spec in plan.caches.items() if not spec.is_strip]
+        for name in fixed:
+            if not self.capacity[name].isdigit():
+                capacity = self.index(plan.caches[name].capacity)
+                emit(1, f"{self.capacity[name]} = max(1, {capacity})")
+        if plan.strip is not None:
+            operand = next(name for name in plan.caches if name not in fixed)
+            size = self.capacity[operand]
+            reserved = ["1"] * (1 + plan.needs_scratch) + [self.capacity[n] for n in fixed]
+            emit(1, f"{size} = k_strip_size({self.index(plan.strip.total)}, "
+                    f"kc.free_regs(), {' + '.join(reserved)})")
+            if plan.strip.max_size is not None:
+                # recipe-provided cap on the launch-time strip choice
+                emit(1, f"{size} = min({size}, {plan.strip.max_size})")
+            self.window(operand)
+        emit(1, "acc_win = kc.claim(1)", "acc = acc_win[0]")
+        if plan.needs_scratch:
+            emit(1, "tmp = kc.claim(1)[0]")
+        for name in fixed:
+            self.window(name)
+        self.block(1, program.body)
+        if plan.store_loop is None:
+            self.store(1)
+        return "\n".join(self.lines) + "\n"
+
+    def window(self, operand: str) -> None:
+        window, capacity = _ident("w_", operand), self.capacity[operand]
+        self.emit(1, f"{window} = kc.claim({capacity})")
+        if capacity == "1":
+            self.emit(1, f"{_ident('g_', operand)} = {window}[0]",
+                      f"{_ident('r_', operand)} = None")
+        else:
+            self.emit(1, f"{_ident('r_', operand)} = [None] * {capacity}")
+
+
+#: Names an emitted body reads besides its arguments.
+_BODY_GLOBALS = {
+    "k_strip_size": k_strip_size,
+    "shard_rows": shard_rows,
+    **{opcode.name: opcode for opcode in VectorOpcode},
+}
+
+
+def _lower_body(plan: _Plan, source_names: Sequence[str]):
+    """Emit the body's source once and ``compile()`` it once."""
+    source = _Emitter(plan).body(source_names)
+    namespace = dict(_BODY_GLOBALS)
+    exec(compile(source, f"<compiled kernel {plan.program.name}>", "exec"), namespace)
+    return namespace["body"]
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +554,6 @@ def compile_kernel(
     params = list(program.params)
 
     def preamble(request: OffloadRequest, matrix_map: MatrixMap) -> PreambleResult:
-        from repro.vpu.visa import ElementType
-
         (p0, p1), (s3, dreg), (s1, s2) = request.pairs()
         registers = [s1, s2, s3][: len(source_names)]
         raw_params = [p0, p1][: len(params)]
@@ -582,23 +579,7 @@ def compile_kernel(
         bind_shapes(program, actual, env)
         return dest, sources, env
 
-    def body(
-        kc: KernelContext,
-        kernel: QueuedKernel,
-        shard: Optional[Tuple[int, int]] = None,
-    ) -> Generator:
-        env = dict(kernel.scalars)
-        bindings = dict(zip(source_names, kernel.sources))
-        vl = eval_expr(program.vector_extent, env)
-        if vl <= 0:
-            return
-        if vl > kc.max_vl:
-            raise ValueError(
-                f"kernel {program.name!r}: output rows of {vl} elements "
-                f"exceed the {kc.max_vl}-element vector registers"
-            )
-        interp = _Interp(plan, kc, env, bindings, kernel.dest, shard, vl)
-        yield from interp.run()
+    body = _lower_body(plan, source_names)
 
     return KernelSpec(
         func5=func5,

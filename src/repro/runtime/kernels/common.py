@@ -49,8 +49,8 @@ def k_strip_size(k_total: int, free_regs: int, reserved: int) -> int:
     strip-mines K when the vector register file cannot hold it: the
     strip gets every free register except the ``reserved`` ones the
     kernel needs for its other operands (row buffers, accumulators).
-    Shared by the handwritten kernels and the kernel compiler so both
-    make the same capacity decision.
+    The kernel compiler sizes every strip window with it, Table I's
+    GeMM (slot 0) included.
     """
     if reserved < 0:
         raise ValueError("reserved register count must be non-negative")

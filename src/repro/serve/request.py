@@ -125,7 +125,8 @@ def gemm_request(
     alpha: int = 1,
     beta: int = 0,
 ) -> InferenceRequest:
-    """D = alpha * (A @ B) + beta * C on the handwritten ``xmk0`` kernel."""
+    """D = alpha * (A @ B) + beta * C on Table I slot 0 (``xmk0``, the
+    compiled GeMM)."""
     if c is None:
         c = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
     return _single_kernel(

@@ -354,8 +354,10 @@ class TestDestReadingKernels:
         """A custom kernel may load and branch on its *destination*
         region (read-modify-write).  Changing only the dest data must be
         a cache miss — never a replay against a stale stream."""
-        from repro.runtime.kernels.gemm import gemm_preamble
+        from repro.compiler import make_gemm_spec
         from repro.vpu.visa import VectorOpcode
+
+        gemm_preamble = make_gemm_spec().preamble
 
         def double_if_first_nonzero(kc, kernel, shard=None):
             # loads dest row 0, reads element 0, and branches on it

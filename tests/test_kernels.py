@@ -77,7 +77,7 @@ class TestGemm:
         system = make_system()
         ma, mb = system.place_matrix(a), system.place_matrix(b)
         out = system.alloc_matrix((3, 3), np.int32)
-        with pytest.raises(ValueError, match="inner dims"):
+        with pytest.raises(ValueError, match="operand 'b' rows: shape mismatch"):
             with system.program() as prog:
                 prog.xmr(0, ma).xmr(1, mb).xmr(2, out).xmr(3, out)
                 prog.gemm(dest=3, a=0, b=1, c=2)

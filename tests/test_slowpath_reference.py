@@ -467,7 +467,9 @@ class TestSyncPoints:
     def run_body(body):
         from repro.isa.xmnmc import pack_pair
         from repro.runtime.kernel_lib import KernelSpec
-        from repro.runtime.kernels.gemm import gemm_preamble
+        from repro.compiler import make_gemm_spec
+
+        gemm_preamble = make_gemm_spec().preamble
 
         system = ArcaneSystem(CFG)
         system.llc.runtime.library.register(KernelSpec(9, "probe", gemm_preamble, body))
